@@ -51,7 +51,6 @@ from .volume import (
     series_finite_part,
     subtracted_susceptibility,
     volume_exact,
-    volume_quadrature,
     volume_series_z4,
     volume_w_form,
     xi_f_holo_z4,

@@ -167,7 +167,7 @@ def overlap_quadrature(p: BosonGasParams, dH: float, grid: QuadratureSpec = OVER
         y = kernels.gaussian_product(x, a, xa, b, xb)
         if max(y[0], y[-1]) > grid.tolerance * y.max():
             raise GridCoverageError("overlap integrand truncated at the grid edge")
-        return y, x[1] - x[0]
+        return y, x
 
     value, _ = kernels.refined_simpson(make, grid)
     return norm * value

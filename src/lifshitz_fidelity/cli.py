@@ -40,7 +40,7 @@ STR_KEYS = {"axis", "spacing", "scheme", "format"}
 #: CLI spellings mapped onto canonical field names.
 KEY_ALIASES = {
     "Q": "Qt", "Q~": "Qt", "Q̃": "Qt", "Qtilde": "Qt",
-    "β": "beta", "ξ": "xi", "Λ": "Lambda",
+    "β": "beta", "ξ": "xi",
     "V₀0": "V0", "V₀": "V0", "V0~": "V0", "Vt0": "V0",
     "r+": "rp", "r₊": "rp", "λ": "lam", "γ": "gamma",
 }
@@ -179,7 +179,9 @@ def _effective_config(subcommand: str, file_cfg: dict, flag_cfg: dict, ns) -> di
             cfg["spacing"] = "linear"
         cfg.setdefault("spacing", "linear")
 
-    cfg.setdefault("format", ns.format or "json")
+    if ns.format is not None:
+        cfg["format"] = ns.format
+    cfg.setdefault("format", "json")
     if cfg["format"] not in ("csv", "json"):
         raise _UsageError(f"format must be csv or json, got {cfg['format']!r}")
     return cfg
@@ -426,10 +428,12 @@ def main(argv=None) -> int:
         cfg = _effective_config(ns.subcommand, file_cfg, overrides, ns)
         outdir = Path(ns.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        workers = ns.workers or int(os.environ.get("LF_WORKERS", "4"))
+        workers = ns.workers
+        if workers is None:
+            workers = _coerce("workers", os.environ.get("LF_WORKERS", "4"))
         if workers < 1:
             raise _UsageError("workers must be >= 1")
-    except _UsageError as exc:
+    except (_UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

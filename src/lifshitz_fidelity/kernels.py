@@ -1,31 +1,21 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels, vectorized with numpy.
 
 Inner loops that dominate runtime: blackening-factor evaluation, the
 singular-endpoint volume integrands (radial and w-coordinate forms), the
-Gaussian overlap product, and composite Simpson summation.
-
-Each kernel exists twice: a vectorized numpy implementation and an @njit
-loop version compiled when numba is importable. Set LF_NO_NUMBA=1 to force
-the numpy path. benchmarks/bench_kernels.py times one against the other.
+Gaussian overlap product, composite Simpson summation, and the dyadic
+refinement driver built on it. Per-kernel timings come from
+`python3 perfbench/run.py` (see perfbench/README.md).
 """
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_flag = os.environ.get("LF_NO_NUMBA", "").strip().lower()
-NUMBA_REQUESTED = _flag not in ("1", "true", "yes", "on")
 
-
-# ---------- numpy implementations ----------
-
-def _blackening_np(r, cv, cm, hcoef, rp, zexp):
+def blackening_vals(r, cv, cm, hcoef, rp, zexp):
     return cv + (rp / r) ** zexp * hcoef - cm * r * r
 
 
-def _volume_integrand_r_np(s, lo, span, mexp, cv, cm, hcoef, rp, zexp, y0):
+def volume_integrand_r(s, lo, span, mexp, cv, cm, hcoef, rp, zexp, y0):
     # r = lo + span*s^mexp maps s in [0,1] onto [lo, lo+span]; the s^(mexp-1)
     # Jacobian absorbs an inverse-sqrt zero of B at the lower endpoint.
     r = lo + span * s**mexp
@@ -36,7 +26,7 @@ def _volume_integrand_r_np(s, lo, span, mexp, cv, cm, hcoef, rp, zexp, y0):
     return y
 
 
-def _wform_integrand_top_np(s, wlo, mexp, cvterm, bcoef, bm2, zexp, y0):
+def wform_integrand_top(s, wlo, mexp, cvterm, bcoef, bm2, zexp, y0):
     w = 1.0 - (1.0 - wlo) * s**mexp
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         b = cvterm + bcoef * w**zexp - bm2 / (w * w)
@@ -45,136 +35,33 @@ def _wform_integrand_top_np(s, wlo, mexp, cvterm, bcoef, bm2, zexp, y0):
     return y
 
 
-def _wform_integrand_log_np(u, cvterm, bcoef, bm2, zexp):
+def wform_integrand_log(u, cvterm, bcoef, bm2, zexp):
     w = np.exp(u)
     b = cvterm + bcoef * w**zexp - bm2 / (w * w)
     with np.errstate(invalid="ignore"):
         return 1.0 / (w**3 * np.sqrt(b))
 
 
-def _gaussian_product_np(x, a, xa, b, xb):
+def gaussian_product(x, a, xa, b, xb):
     return np.exp(-0.5 * (a * (x - xa) ** 2 + b * (x - xb) ** 2))
 
 
-def _simpson_np(y, h):
+def simpson(y, h):
     return (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()) * (h / 3.0)
-
-
-# ---------- loop bodies for numba ----------
-
-def _blackening_loop(r, cv, cm, hcoef, rp, zexp):
-    n = r.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = cv + (rp / r[i]) ** zexp * hcoef - cm * r[i] * r[i]
-    return out
-
-
-def _volume_integrand_r_loop(s, lo, span, mexp, cv, cm, hcoef, rp, zexp, y0):
-    n = s.shape[0]
-    y = np.empty(n)
-    y[0] = y0
-    for i in range(1, n):
-        r = lo + span * s[i] ** mexp
-        bb = cv + (rp / r) ** zexp * hcoef - cm * r * r
-        y[i] = (mexp * span) * s[i] ** (mexp - 1) * r * r / math.sqrt(bb) if bb > 0.0 else np.nan
-    return y
-
-
-def _wform_integrand_top_loop(s, wlo, mexp, cvterm, bcoef, bm2, zexp, y0):
-    n = s.shape[0]
-    y = np.empty(n)
-    y[0] = y0
-    for i in range(1, n):
-        w = 1.0 - (1.0 - wlo) * s[i] ** mexp
-        b = cvterm + bcoef * w**zexp - bm2 / (w * w)
-        y[i] = (mexp * (1.0 - wlo)) * s[i] ** (mexp - 1) / (w**4 * math.sqrt(b)) if b > 0.0 else np.nan
-    return y
-
-
-def _wform_integrand_log_loop(u, cvterm, bcoef, bm2, zexp):
-    n = u.shape[0]
-    y = np.empty(n)
-    for i in range(n):
-        w = math.exp(u[i])
-        b = cvterm + bcoef * w**zexp - bm2 / (w * w)
-        y[i] = 1.0 / (w**3 * math.sqrt(b)) if b > 0.0 else np.nan
-    return y
-
-
-def _gaussian_product_loop(x, a, xa, b, xb):
-    n = x.shape[0]
-    y = np.empty(n)
-    for i in range(n):
-        y[i] = math.exp(-0.5 * (a * (x[i] - xa) ** 2 + b * (x[i] - xb) ** 2))
-    return y
-
-
-def _simpson_loop(y, h):
-    n = y.shape[0]
-    acc4 = 0.0
-    for i in range(1, n - 1, 2):
-        acc4 += y[i]
-    acc2 = 0.0
-    for i in range(2, n - 1, 2):
-        acc2 += y[i]
-    return (y[0] + y[n - 1] + 4.0 * acc4 + 2.0 * acc2) * (h / 3.0)
-
-
-# ---------- implementation selection ----------
-
-_NUMPY_IMPL = {
-    "blackening": _blackening_np,
-    "volume_integrand_r": _volume_integrand_r_np,
-    "wform_top": _wform_integrand_top_np,
-    "wform_log": _wform_integrand_log_np,
-    "gaussian_product": _gaussian_product_np,
-    "simpson": _simpson_np,
-}
-
-_NUMBA_IMPL = None
-HAVE_NUMBA = False
-if NUMBA_REQUESTED:
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        _jit = njit(cache=True, nogil=True)
-        _NUMBA_IMPL = {
-            "blackening": _jit(_blackening_loop),
-            "volume_integrand_r": _jit(_volume_integrand_r_loop),
-            "wform_top": _jit(_wform_integrand_top_loop),
-            "wform_log": _jit(_wform_integrand_log_loop),
-            "gaussian_product": _jit(_gaussian_product_loop),
-            "simpson": _jit(_simpson_loop),
-        }
-        HAVE_NUMBA = True
-
-IMPLEMENTATIONS = {"numpy": _NUMPY_IMPL, "numba": _NUMBA_IMPL}
-ACTIVE = _NUMBA_IMPL if HAVE_NUMBA else _NUMPY_IMPL
-ACTIVE_NAME = "numba" if HAVE_NUMBA else "numpy"
-
-blackening_vals = ACTIVE["blackening"]
-volume_integrand_r = ACTIVE["volume_integrand_r"]
-wform_integrand_top = ACTIVE["wform_top"]
-wform_integrand_log = ACTIVE["wform_log"]
-gaussian_product = ACTIVE["gaussian_product"]
-simpson = ACTIVE["simpson"]
 
 
 def refined_simpson(make_grid, spec):
     """Composite Simpson with dyadic refinement and Richardson extrapolation.
 
-    make_grid(n_points) must return (y, h) with n_points odd. Returns
-    (value, error_estimate); with a single level the estimate is 0.
+    make_grid(n_points) must return (y, x): integrand values on the uniform
+    abscissae x. It is called once, on the finest grid of
+    2*panels*2^(levels-1) + 1 points; coarser levels are its even
+    subsamples. Returns (value, error_estimate); with a single level the
+    estimate is 0.
     """
-    n = spec.panels
-    vals = []
-    for _ in range(spec.levels):
-        y, h = make_grid(2 * n + 1)
-        vals.append(float(simpson(y, h)))
-        n *= 2
+    top = spec.levels - 1
+    y, x = make_grid(2 * spec.panels * 2**top + 1)
+    vals = [float(simpson(y[::2**k], x[2**k] - x[0])) for k in range(top, -1, -1)]
     if len(vals) == 1:
         return vals[0], 0.0
     err = abs(vals[-1] - vals[-2]) / 15.0

@@ -128,7 +128,7 @@ def _integrate_r(cv, cm, hcoef, rp, zexp, lo, hi, spec):
             raise NonPositiveBlackeningError(
                 "blackening factor non-positive inside the integration domain"
             )
-        return y, s[1] - s[0]
+        return y, s
 
     value, err = kernels.refined_simpson(make, spec)
     if err > spec.tolerance * max(1.0, abs(value)):
@@ -163,7 +163,7 @@ def _integrate_w(cvterm, bcoef, bm2, zexp, eps, spec):
         y = kernels.wform_integrand_top(s, split, mexp, cvterm, bcoef, bm2, zexp, y0)
         if not np.all(np.isfinite(y)):
             raise NonPositiveBlackeningError("integrand non-positive on the w grid")
-        return y, s[1] - s[0]
+        return y, s
 
     value, err = kernels.refined_simpson(make_top, spec)
 
@@ -175,7 +175,7 @@ def _integrate_w(cvterm, bcoef, bm2, zexp, eps, spec):
             y = kernels.wform_integrand_log(u, cvterm, bcoef, bm2, zexp)
             if not np.all(np.isfinite(y)):
                 raise NonPositiveBlackeningError("integrand non-positive on the w grid")
-            return y, u[1] - u[0]
+            return y, u
 
         v_log, e_log = kernels.refined_simpson(make_log, spec)
         value += v_log
@@ -184,42 +184,6 @@ def _integrate_w(cvterm, bcoef, bm2, zexp, eps, spec):
     if err > spec.tolerance * max(1.0, abs(value)):
         raise ConvergenceError(f"w-coordinate quadrature stalled: error estimate {err:.3e}")
     return value, err
-
-
-def volume_quadrature(bfunc, lo, hi, spec: QuadratureSpec = DEFAULT_SPEC, bprime_lo=None):
-    """Radial volume quadrature for an arbitrary blackening callable.
-
-    bfunc maps an array of radii to B values. If B(lo) = 0 the integrand
-    limit at the endpoint needs dB/dr there: pass it as bprime_lo.
-    """
-    if hi <= lo:
-        raise DomainError("need hi > lo")
-    span = hi - lo
-    mexp = spec.endpoint_exponent
-    b_lo = float(bfunc(np.array([lo]))[0])
-    scale = max(abs(b_lo), float(np.abs(bfunc(np.array([hi])))[0]), 1e-300)
-    if b_lo < -ENDPOINT_ZERO_TOL * scale:
-        raise NonPositiveBlackeningError(f"B({lo}) < 0")
-    y0 = 0.0
-    if abs(b_lo) <= ENDPOINT_ZERO_TOL * scale and lo > 0.0 and mexp == 2:
-        if bprime_lo is None or bprime_lo <= 0:
-            raise DomainError("B vanishes at the lower endpoint: bprime_lo > 0 required")
-        y0 = 2.0 * lo * lo * math.sqrt(span / bprime_lo)
-
-    def make(npts):
-        s = np.linspace(0.0, 1.0, npts)
-        r = lo + span * s**mexp
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            y = (mexp * span) * s ** (mexp - 1) * r * r / np.sqrt(bfunc(r))
-        y[0] = y0
-        if not np.all(np.isfinite(y)):
-            raise NonPositiveBlackeningError("B non-positive inside the domain")
-        return y, s[1] - s[0]
-
-    value, err = kernels.refined_simpson(make, spec)
-    if err > spec.tolerance * max(1.0, abs(value)):
-        raise ConvergenceError(f"quadrature stalled: error estimate {err:.3e}")
-    return VolumeResult(value, hi, "full-B", float("nan"), err)
 
 
 # ---------- volume operations ----------

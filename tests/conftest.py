@@ -1,14 +1,9 @@
 import pytest
 
-from lifshitz_fidelity import BulkParams
+from lifshitz_fidelity.verification import _bulk
 
 
 @pytest.fixture
 def make_bulk():
     """Build BulkParams hitting a requested Lambda + Qt^2 xi exactly."""
-
-    def _make(lambda_eff=-5.0, rp=1.0, V0=0.0, L=1.0, G=1.0, z=4.0, Qt=1.0, **kw):
-        xi = (lambda_eff + 3.0 / L**2) / Qt**2
-        return BulkParams(L=L, xi=xi, Qt=Qt, V0=V0, z=z, rp=rp, G=G, **kw)
-
-    return _make
+    return _bulk

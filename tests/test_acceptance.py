@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Timing assertions measure the computation after a small warmup call so that
-one-time JIT compilation is not billed to the criterion.
+one-time start-up costs are not billed to the criterion.
 """
 import math
 import subprocess
@@ -31,17 +31,13 @@ from lifshitz_fidelity import (
 from lifshitz_fidelity.cli import main as cli_main
 from lifshitz_fidelity.duality import FLAG_NEGATIVE_B2Q, FLAG_NEGATIVE_N
 from lifshitz_fidelity.geometry import series_coeffs_z4
+from lifshitz_fidelity.verification import _bulk
 
 
 def _report(capsys, num, passed, detail):
     line = f"[criterion {num:2d}] {'PASS' if passed else 'FAIL'} - {detail}"
     with capsys.disabled():
         print(line, flush=True)
-
-
-def _bulk(lambda_eff=-5.0, rp=1.0, V0=0.0, L=1.0, G=1.0, z=4.0, Qt=1.0):
-    xi = (lambda_eff + 3.0 / L**2) / Qt**2
-    return BulkParams(L=L, xi=xi, Qt=Qt, V0=V0, z=z, rp=rp, G=G)
 
 
 def test_criterion_1_boundary_oracle_equality(capsys):

@@ -109,6 +109,11 @@ def test_config_file_with_flag_override(tmp_path):
     doc = json.loads((out / "boundary.json").read_text())
     assert doc["config"]["H"] == 4.0   # flag wins
     assert doc["config"]["beta"] == 0.5
+    cfg.write_text("format = csv\n")
+    out = tmp_path / "fmt"
+    assert run(["boundary", "--config", str(cfg), "--format", "json", "--out", str(out)]) == 0
+    assert json.loads((out / "boundary.json").read_text())["config"]["format"] == "json"
+    assert not (out / "boundary.csv").exists()
 
 
 def test_unicode_and_alias_keys(tmp_path):
@@ -128,9 +133,16 @@ def test_unicode_and_alias_keys(tmp_path):
     ["boundary", "--H"],                      # dangling flag
     ["boundary", "--H", "abc"],
     ["nonsense"],
+    ["sweep", "--axis", "Qt", "--from", "1", "--to", "2", "--points", "3", "--workers", "0"],
+    ["boundary", "--config", "{tmp}/missing.cfg"],
+    ["boundary", "--out", "{tmp}/file/sub"],  # output directory under a regular file
 ])
 def test_validation_failures_exit_1(tmp_path, args):
-    assert run(args + ["--out", str(tmp_path)]) == 1
+    (tmp_path / "file").write_text("")
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    if "--out" not in args:
+        args += ["--out", str(tmp_path)]
+    assert run(args) == 1
 
 
 def test_numerical_failures_exit_2(tmp_path, capsys):

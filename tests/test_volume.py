@@ -20,7 +20,6 @@ from lifshitz_fidelity import (
     series_finite_part,
     subtracted_susceptibility,
     volume_exact,
-    volume_quadrature,
     volume_series_z4,
     volume_w_form,
     xi_f_holo_z4,
@@ -44,31 +43,6 @@ def random_bulk(rng, make_bulk):
         slope = blackening_derivative(p.rp, p)
         if slope > 0.1 * (-curvature_coefficient(p)) * p.rp:
             return p
-
-
-# ---------- generic radial quadrature on synthetic blackenings ----------
-
-def test_constant_blackening_reduces_to_polynomial_integral():
-    res = volume_quadrature(lambda r: np.ones_like(r), 1.0, 2.0)
-    assert res.value == pytest.approx(7.0 / 3.0, rel=1e-12)
-
-
-def test_linear_blackening_endpoint_singularity():
-    # adaptive-quadrature oracle for int_1^2 r^2/sqrt(r-1) dr, closed form 56/15
-    oracle, err = quad(lambda r: r * r / math.sqrt(r - 1.0), 1.0, 2.0, points=[1.0], limit=400)
-    assert oracle == pytest.approx(56.0 / 15.0, abs=5 * err)
-    res = volume_quadrature(lambda r: r - 1.0, 1.0, 2.0, bprime_lo=1.0)
-    assert res.value == pytest.approx(56.0 / 15.0, rel=1e-12)
-
-
-def test_singular_endpoint_requires_derivative():
-    with pytest.raises(DomainError):
-        volume_quadrature(lambda r: r - 1.0, 1.0, 2.0)
-
-
-def test_quadrature_detects_negative_blackening():
-    with pytest.raises(NonPositiveBlackeningError):
-        volume_quadrature(lambda r: 1.0 - r, 1.0, 2.0, bprime_lo=1.0)
 
 
 # ---------- exact volume vs truncated series ----------
