@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from . import kernels
 from .errors import ConvergenceError, DomainError, FitError, GridCoverageError
@@ -99,6 +98,8 @@ def oscillator_spectrum_oracle(p: BosonGasParams, grid: QuadratureSpec = EIGEN_G
     and beta^2 shifts, and Richardson-extrapolates over the refinement
     levels. Converges to (q*H + k^2)/(2m) independent of beta.
     """
+    from scipy.linalg import eigvalsh_tridiagonal  # lazy: only this oracle needs scipy
+
     if grid.halfwidth < 8:
         raise DomainError("eigen oracle requires halfwidth >= 8 sigma")
     if 2 * grid.panels + 1 < 2000:
@@ -119,15 +120,15 @@ def oscillator_spectrum_oracle(p: BosonGasParams, grid: QuadratureSpec = EIGEN_G
         v = (p.q * p.H * x) ** 2 - 2.0 * p.q * p.beta * p.H * x
         diag = 2.0 / dx**2 + v
         off = np.full(n - 1, -1.0 / dx**2)
-        lam = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
-        energies.append((lam + p.k**2 + p.beta**2) / (2.0 * p.m))
+        lowest = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
+        energies.append((lowest + p.k**2 + p.beta**2) / (2.0 * p.m))
         n = 2 * n - 1  # halves dx
 
     if abs(energies[-1] - energies[-2]) > grid.tolerance * max(1.0, abs(energies[-1])):
         raise ConvergenceError(
             f"eigenvalue refinements differ by {abs(energies[-1] - energies[-2]):.3e}"
         )
-    # second-order scheme: one Richardson step removes the dx^2 term
+    # second-order differences: one Richardson step removes the dx^2 term
     return energies[-1] + (energies[-1] - energies[-2]) / 3.0
 
 

@@ -1,12 +1,13 @@
 """Command-line front end.
 
     lifshitz-fidelity <subcommand> [--config PATH] [--key value]...
-                      [--out DIR] [--format csv|json] [--workers N]
+                      [--out DIR] [--format csv|json]
 
 Subcommands: boundary, bulk, match, sweep, verify. Configuration is a flat
 key = value text file; command-line flags win over the file. Every artifact
 echoes the effective configuration in its header, so re-running from the
-echoed block reproduces the artifact byte for byte.
+echoed block reproduces the artifact byte for byte. Sweeps pick their thread
+count from the grid size (THREADED_GRID_POINTS); it never changes output.
 
 Exit codes: 0 success, 1 configuration/validation failure, 2 numerical
 failure (a diagnostic names the failing operation).
@@ -29,33 +30,37 @@ from .params import BosonGasParams, BulkParams, QuadratureSpec
 SUBCOMMANDS = ("boundary", "bulk", "match", "sweep", "verify")
 
 BOUNDARY_KEYS = ("N", "q", "m", "H", "beta", "k")
-BULK_KEYS = ("L", "xi", "Qt", "V0", "z", "rp", "r0", "G", "R", "gamma", "lam")
-QUAD_KEYS = ("panels", "levels", "tolerance", "halfwidth", "endpoint_exponent", "scheme")
+BULK_KEYS = ("L", "xi", "Qt", "V0", "z", "rp", "G")
+QUAD_KEYS = ("panels", "levels", "tolerance", "halfwidth", "endpoint_exponent")
 SWEEP_KEYS = ("axis", "from", "to", "points", "spacing")
 RUN_KEYS = ("r_inf",)
 
-INT_KEYS = {"N", "points", "panels", "levels", "endpoint_exponent", "workers"}
-STR_KEYS = {"axis", "spacing", "scheme", "format"}
+INT_KEYS = {"N", "points", "panels", "levels", "endpoint_exponent"}
+STR_KEYS = {"axis", "spacing", "format"}
 
 #: CLI spellings mapped onto canonical field names.
 KEY_ALIASES = {
     "Q": "Qt", "Q~": "Qt", "Q̃": "Qt", "Qtilde": "Qt",
     "β": "beta", "ξ": "xi",
     "V₀0": "V0", "V₀": "V0", "V0~": "V0", "Vt0": "V0",
-    "r+": "rp", "r₊": "rp", "λ": "lam", "γ": "gamma",
+    "r+": "rp", "r₊": "rp",
 }
 
 BOUNDARY_DEFAULTS = {"N": 1, "q": 1.0, "m": 1.0, "H": 1.0, "beta": 0.0, "k": 0.0}
 BULK_DEFAULTS = {
     "L": 1.0, "xi": -1.0, "Qt": 1.0, "V0": 0.0, "z": 4.0,
-    "rp": 1.0, "r0": 1.0, "G": 1.0, "R": 1.0, "gamma": 0.0, "lam": 0.0,
+    "rp": 1.0, "G": 1.0,
 }
 QUAD_DEFAULTS = {
     "panels": 2048, "levels": 2, "tolerance": 1e-10,
-    "halfwidth": 10.0, "endpoint_exponent": 2, "scheme": "simpson",
+    "halfwidth": 10.0, "endpoint_exponent": 2,
 }
 
 SWEEPABLE = set(BOUNDARY_KEYS + BULK_KEYS) - {"N"}
+
+#: Finest grid of one sweep point (2*panels*2^(levels-1) + 1) from which a sweep
+#: runs on every usable core; below it threads only contend for the GIL.
+THREADED_GRID_POINTS = 2**16
 
 
 class _UsageError(Exception):
@@ -196,11 +201,7 @@ def _bulk_params(cfg) -> BulkParams:
 
 
 def _quad_spec(cfg) -> QuadratureSpec:
-    return QuadratureSpec(
-        scheme=cfg["scheme"], panels=cfg["panels"], levels=cfg["levels"],
-        tolerance=cfg["tolerance"], halfwidth=cfg["halfwidth"],
-        endpoint_exponent=cfg["endpoint_exponent"],
-    )
+    return QuadratureSpec(**{k: cfg[k] for k in QUAD_KEYS})
 
 
 # ---------- output ----------
@@ -350,7 +351,18 @@ def _sweep_values(cfg):
     return np.linspace(lo, hi, n)
 
 
-def _cmd_sweep(cfg, outdir, workers):
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):  # the affinity mask, where there is one
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sweep_threads(spec) -> int:
+    finest = 2 * spec.panels * 2 ** (spec.levels - 1) + 1
+    return _usable_cores() if finest >= THREADED_GRID_POINTS else 1
+
+
+def _cmd_sweep(cfg, outdir):
     for key in ("axis", "from", "to", "points"):
         if key not in cfg:
             raise _UsageError(f"sweep requires {key!r}")
@@ -375,7 +387,7 @@ def _cmd_sweep(cfg, outdir, workers):
             results["duality_residual"] = match_results["residual"]
         return results
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(_sweep_threads(spec)) as pool:
         rows_dicts = list(pool.map(eval_point, values))
 
     columns = [axis] + sorted(rows_dicts[0])
@@ -413,7 +425,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None)
     parser.add_argument("--out", default=".")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--axis", default=None)
     parser.add_argument("--from", dest="sweep_from", type=float, default=None)
     parser.add_argument("--to", dest="sweep_to", type=float, default=None)
@@ -428,11 +439,6 @@ def main(argv=None) -> int:
         cfg = _effective_config(ns.subcommand, file_cfg, overrides, ns)
         outdir = Path(ns.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        workers = ns.workers
-        if workers is None:
-            workers = _coerce("workers", os.environ.get("LF_WORKERS", "4"))
-        if workers < 1:
-            raise _UsageError("workers must be >= 1")
     except (_UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -445,9 +451,9 @@ def main(argv=None) -> int:
         if ns.subcommand == "match":
             return _cmd_match(cfg, outdir)
         if ns.subcommand == "sweep":
-            return _cmd_sweep(cfg, outdir, workers)
+            return _cmd_sweep(cfg, outdir)
         return _cmd_verify(cfg, outdir)
-    except _UsageError as exc:
+    except (_UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _NumericalFailure as exc:

@@ -61,7 +61,8 @@ def refined_simpson(make_grid, spec):
     """
     top = spec.levels - 1
     y, x = make_grid(2 * spec.panels * 2**top + 1)
-    vals = [float(simpson(y[::2**k], x[2**k] - x[0])) for k in range(top, -1, -1)]
+    h = (x[-1] - x[0]) / (len(x) - 1)  # a neighbour difference loses eps*|x[0]|/h relative
+    vals = [float(simpson(y[::2**k], h * 2**k)) for k in range(top, -1, -1)]
     if len(vals) == 1:
         return vals[0], 0.0
     err = abs(vals[-1] - vals[-2]) / 15.0

@@ -56,12 +56,9 @@ class BulkParams:
     V0      dilaton potential amplitude
     z       dynamical exponent (>= 1)
     rp      horizon radius (> 0)
-    r0      Lifshitz time-scale normalization (> 0; carried, never used by
-            the time-slice volume)
     G       Newton constant (> 0)
     R       complexity normalization radius; defaults to L
     Lambda  optional explicit cosmological constant, checked against -3/L^2
-    gamma, lam   dilaton couplings, inert (stored for provenance only)
     """
 
     L: float = 1.0
@@ -70,15 +67,12 @@ class BulkParams:
     V0: float = 0.0
     z: float = 4.0
     rp: float = 1.0
-    r0: float = 1.0
     G: float = 1.0
     R: float | None = None
     Lambda: float | None = None
-    gamma: float = 0.0
-    lam: float = 0.0
 
     def __post_init__(self):
-        for name in ("L", "Qt", "rp", "r0", "G"):
+        for name in ("L", "Qt", "rp", "G"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.z >= 1:
@@ -103,7 +97,7 @@ class BulkParams:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for the quadrature and grid-eigenvalue kernels.
+    """Controls for the composite-Simpson quadratures and the grid-eigenvalue kernel.
 
     panels             base Simpson panel count; grids carry 2*panels + 1 points
     endpoint_exponent  power of the endpoint substitution that absorbs
@@ -114,7 +108,6 @@ class QuadratureSpec:
     halfwidth          Gaussian-grid half width in units of sigma
     """
 
-    scheme: str = "simpson"
     panels: int = 2048
     endpoint_exponent: int = 2
     levels: int = 2
@@ -122,8 +115,6 @@ class QuadratureSpec:
     halfwidth: float = 10.0
 
     def __post_init__(self):
-        if self.scheme != "simpson":
-            raise DomainError(f"unsupported quadrature scheme {self.scheme!r}")
         if self.panels < 64:
             raise DomainError(f"panels must be >= 64, got {self.panels}")
         if self.endpoint_exponent not in (2, 3, 4):

@@ -148,10 +148,10 @@ def check_series_coefficient_identity() -> CheckResult:
 def check_exponent_roundtrip() -> CheckResult:
     worst = 0.0
     for L in (0.5, 1.0, 2.0):
-        lam = -3.0 / L**2
+        Lambda = -3.0 / L**2
         qt = 1.3
-        xi = -lam / (2.0 * qt**2)
-        worst = max(worst, abs(geometry.lifshitz_exponent(qt, xi, lam) - 4.0))
+        xi = -Lambda / (2.0 * qt**2)
+        worst = max(worst, abs(geometry.lifshitz_exponent(qt, xi, Lambda) - 4.0))
     return CheckResult("exponent-roundtrip", worst <= 1e-12, f"max |z - 4| = {worst:.2e}")
 
 

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -210,6 +212,15 @@ def test_fit_independent_of_longitudinal_momentum():
     assert max(vals) - min(vals) <= 1e-10 * vals[0]
 
 
+@pytest.mark.parametrize("H", [0.5, 1.0, 3.0])
+def test_fit_on_fine_grid_matches_closed_form(H):
+    # 2*65536*2 + 1 points: the Simpson step must come from the whole span,
+    # since a neighbour difference carries eps*|x[0]| roundoff, large next to h
+    p = BosonGasParams(q=1.3, H=H, beta=0.4)
+    fit = xi_f_from_fit(p, grid=QuadratureSpec(panels=65536))
+    assert fit.c_sq == pytest.approx(xi_f_analytic(p), rel=1e-8)
+
+
 def test_fit_sample_preconditions():
     p = BosonGasParams()
     with pytest.raises(DomainError):
@@ -227,3 +238,11 @@ def test_fit_sample_preconditions():
 ])
 def test_xi_f_analytic_values(kw, expected):
     assert xi_f_analytic(BosonGasParams(**kw)) == expected
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # only the eigen oracle needs scipy; it imports it on first call
+    code = "import sys, lifshitz_fidelity; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from lifshitz_fidelity import geometry
+from lifshitz_fidelity import QuadratureSpec, cli, geometry
 from lifshitz_fidelity.cli import main
 
 
@@ -52,12 +52,23 @@ def test_sweep_is_deterministic(tmp_path):
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
-def test_sweep_concurrency_does_not_change_output(tmp_path):
+def test_sweep_concurrency_does_not_change_output(tmp_path, monkeypatch):
     args = ["sweep", "--axis", "Qt", "--from", "1", "--to", "5", "--points", "5"]
-    out1, out2 = tmp_path / "w1", tmp_path / "w4"
-    assert run(args + ["--out", str(out1), "--workers", "1"]) == 0
-    assert run(args + ["--out", str(out2), "--workers", "4"]) == 0
+    out1, out2 = tmp_path / "serial", tmp_path / "threaded"
+    monkeypatch.setattr(cli, "THREADED_GRID_POINTS", 2**62)
+    assert run(args + ["--out", str(out1)]) == 0
+    monkeypatch.setattr(cli, "THREADED_GRID_POINTS", 1)
+    assert run(args + ["--out", str(out2)]) == 0
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+def test_sweep_threads_follow_the_grid_size():
+    # finest grid 2*panels*2^(levels-1) + 1: 8193 points runs serially,
+    # 65537 points on every usable core
+    assert cli._sweep_threads(QuadratureSpec(panels=2048, levels=2)) == 1
+    assert cli._sweep_threads(QuadratureSpec(panels=8192, levels=2)) == 1
+    assert cli._sweep_threads(QuadratureSpec(panels=16384, levels=2)) == cli._usable_cores()
+    assert cli._sweep_threads(QuadratureSpec(panels=4096, levels=5)) == cli._usable_cores()
 
 
 def test_sweep_roundtrip_from_echoed_config(tmp_path):
@@ -133,16 +144,23 @@ def test_unicode_and_alias_keys(tmp_path):
     ["boundary", "--H"],                      # dangling flag
     ["boundary", "--H", "abc"],
     ["nonsense"],
-    ["sweep", "--axis", "Qt", "--from", "1", "--to", "2", "--points", "3", "--workers", "0"],
+    ["sweep", "--axis", "Qt", "--from", "1", "--to", "2", "--points", "3", "--workers", "2"],
     ["boundary", "--config", "{tmp}/missing.cfg"],
     ["boundary", "--out", "{tmp}/file/sub"],  # output directory under a regular file
+    ["boundary", "--scheme", "simpson"],      # removed keys are unknown keys
+    ["bulk", "--gamma", "0"],
+    ["boundary", "--out", "{tmp}/clash"],     # artifact path is a directory
+    ["sweep", "--axis", "H", "--from", "1", "--to", "2", "--points", "2", "--out", "{tmp}/clash"],
 ])
-def test_validation_failures_exit_1(tmp_path, args):
+def test_validation_failures_exit_1(tmp_path, capsys, args):
     (tmp_path / "file").write_text("")
+    (tmp_path / "clash" / "boundary.json").mkdir(parents=True)
+    (tmp_path / "clash" / "sweep.csv").mkdir()
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     if "--out" not in args:
         args += ["--out", str(tmp_path)]
     assert run(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_numerical_failures_exit_2(tmp_path, capsys):

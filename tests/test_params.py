@@ -18,7 +18,7 @@ def test_boson_params_defaults_are_valid():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("L", 0.0), ("Qt", -1.0), ("rp", 0.0), ("r0", -0.5),
+    ("L", 0.0), ("Qt", -1.0), ("rp", 0.0),
     ("G", 0.0), ("z", 0.5), ("R", -1.0),
 ])
 def test_bulk_params_rejects_bad_values(field, value):
@@ -43,14 +43,9 @@ def test_bulk_complexity_radius_defaults_to_curvature_scale():
     assert BulkParams(L=1.7, R=0.4).R == 0.4
 
 
-def test_bulk_inert_couplings_are_stored():
-    p = BulkParams(gamma=0.3, lam=-0.2)
-    assert (p.gamma, p.lam) == (0.3, -0.2)
-
-
 @pytest.mark.parametrize("kw", [
     {"panels": 32}, {"tolerance": 0.0}, {"levels": 0},
-    {"endpoint_exponent": 5}, {"scheme": "monte-carlo"}, {"halfwidth": -1.0},
+    {"endpoint_exponent": 5}, {"tolerance": float("nan")}, {"halfwidth": -1.0},
 ])
 def test_quadrature_spec_validation(kw):
     with pytest.raises(DomainError):
