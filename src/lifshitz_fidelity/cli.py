@@ -10,7 +10,8 @@ echoed block reproduces the artifact byte for byte. Sweeps pick their thread
 count from the grid size (THREADED_GRID_POINTS); it never changes output.
 
 Exit codes: 0 success, 1 configuration/validation failure, 2 numerical
-failure (a diagnostic names the failing operation).
+failure (a diagnostic names the failing operation and, in a sweep, the
+parameter point).
 """
 from __future__ import annotations
 
@@ -67,6 +68,10 @@ class _UsageError(Exception):
     pass
 
 
+#: Failures of a computation (as opposed to a bad configuration): exit 2.
+NUMERICAL_ERRORS = (LifshitzFidelityError, ArithmeticError, np.linalg.LinAlgError)
+
+
 class _NumericalFailure(Exception):
     def __init__(self, op, cause):
         super().__init__(f"{op}: {cause}")
@@ -77,7 +82,7 @@ class _NumericalFailure(Exception):
 def _call(op, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except LifshitzFidelityError as exc:
+    except NUMERICAL_ERRORS as exc:
         raise _NumericalFailure(op, exc) from exc
 
 
@@ -377,14 +382,19 @@ def _cmd_sweep(cfg, outdir):
     def eval_point(value):
         point_cfg = dict(cfg)
         point_cfg[axis] = float(value)
-        if is_boundary:
-            results = _run_boundary_point(point_cfg, spec)
-        else:
+        where = f"at {axis}={point_cfg[axis]!r}"
+        try:
+            if is_boundary:
+                return _run_boundary_point(point_cfg, spec)
             results = _run_bulk_point(point_cfg, spec)
             match_results, _ = _run_match_point(point_cfg)
-            results["matched_N"] = match_results["matched_N"]
-            results["matched_beta2_over_q"] = match_results["matched_beta2_over_q"]
-            results["duality_residual"] = match_results["residual"]
+        except _NumericalFailure as exc:
+            raise _NumericalFailure(f"{exc.op} {where}", exc.cause) from exc
+        except NUMERICAL_ERRORS as exc:
+            raise _NumericalFailure(f"sweep {where}", exc) from exc
+        results["matched_N"] = match_results["matched_N"]
+        results["matched_beta2_over_q"] = match_results["matched_beta2_over_q"]
+        results["duality_residual"] = match_results["residual"]
         return results
 
     with ThreadPoolExecutor(_sweep_threads(spec)) as pool:
@@ -461,6 +471,9 @@ def main(argv=None) -> int:
         return 2
     except LifshitzFidelityError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except NUMERICAL_ERRORS as exc:  # raised outside a named operation
+        print(f"numerical failure in {ns.subcommand}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -174,6 +174,27 @@ def test_numerical_failures_exit_2(tmp_path, capsys):
     assert run(["boundary", "--H", "-1.0", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["boundary", "--H", "1e-300"],    # numpy LinAlgError in the fit
+    ["bulk", "--rp", "1e200"],        # OverflowError
+    ["bulk", "--Qt", "1e-200"],       # ZeroDivisionError in a named operation
+    ["match", "--xi", "-1e-320"],
+    ["bulk", "--L", "1e-200"],        # ZeroDivisionError outside a named operation
+])
+def test_arithmetic_failures_exit_2_without_traceback(tmp_path, capsys, args):
+    assert run(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure")
+    assert "Traceback" not in err
+
+
+def test_sweep_failure_names_the_parameter_point(tmp_path, capsys):
+    args = ["sweep", "--axis", "H", "--from", "1", "--to", "1e308", "--points", "3"]
+    assert run(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in xi_f_from_fit at H=")
+
+
 def test_verify_passes_on_correct_build(tmp_path):
     assert run(["verify", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "verify.json").read_text())
