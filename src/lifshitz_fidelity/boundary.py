@@ -200,9 +200,13 @@ def xi_f_from_fit(
         raise DomainError("fit samples must satisfy |dH|/H <= 1e-2")
 
     f_amp = np.array([fidelity(p, float(s), grid) for s in d])
-    design = np.column_stack([d**2, d**3, d**4])
-    scale = np.abs(design).max(axis=0)
-    design_s = design / scale
+    try:  # a column that underflows to 0 or overflows would reach LAPACK as NaN
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            design = np.column_stack([d**2, d**3, d**4])
+            scale = np.abs(design).max(axis=0)
+            design_s = design / scale
+    except FloatingPointError as exc:
+        raise FitError(f"fit design matrix dH^2..dH^4 out of float range: {exc}") from exc
 
     def quadratic_coeff(y):
         coef, *_ = np.linalg.lstsq(design_s, y, rcond=None)

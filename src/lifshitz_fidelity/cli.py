@@ -1,17 +1,23 @@
 """Command-line front end.
 
-    lifshitz-fidelity <subcommand> [--config PATH] [--key value]...
-                      [--out DIR] [--format csv|json]
+    lifshitz-fidelity <subcommand> [--config PATH] [--key value]... [--log]
+                      [--out DIR]
 
-Subcommands: boundary, bulk, match, sweep, verify. Configuration is a flat
-key = value text file; command-line flags win over the file. Every artifact
-echoes the effective configuration in its header, so re-running from the
-echoed block reproduces the artifact byte for byte. Sweeps pick their thread
-count from the grid size (THREADED_GRID_POINTS); it never changes output.
+Subcommands: boundary, bulk, match, sweep, verify. Every setting is a key,
+given as a --key value (or --key=value) flag or as a line of a flat
+key = value --config file; flags win over the file. SUBCOMMAND_KEYS lists the
+keys each subcommand reads (all of them also read format, csv or json); any
+other key is a configuration error. Defaults come from the parameter classes
+(BosonGasParams, BulkParams, QuadratureSpec). --log is shorthand for
+--spacing log. Every artifact echoes the effective configuration in its
+header, so re-running from the echoed block reproduces the artifact byte for
+byte. Sweeps pick their thread count from the grid size
+(THREADED_GRID_POINTS); it never changes output.
 
-Exit codes: 0 success, 1 configuration/validation failure, 2 numerical
-failure (a diagnostic names the failing operation and, in a sweep, the
-parameter point).
+Exit codes: 0 success, 1 configuration failure, 2 numerical failure,
+including a parameter value outside its domain. An exit-2 diagnostic names
+the failing operation (the subcommand when no named operation was running)
+and, in a sweep, the parameter point.
 """
 from __future__ import annotations
 
@@ -28,16 +34,28 @@ from . import boundary, duality, geometry, verification, volume
 from .errors import LifshitzFidelityError
 from .params import BosonGasParams, BulkParams, QuadratureSpec
 
-SUBCOMMANDS = ("boundary", "bulk", "match", "sweep", "verify")
-
 BOUNDARY_KEYS = ("N", "q", "m", "H", "beta", "k")
 BULK_KEYS = ("L", "xi", "Qt", "V0", "z", "rp", "G")
-QUAD_KEYS = ("panels", "levels", "tolerance", "halfwidth", "endpoint_exponent")
+QUAD_KEYS = ("panels", "levels", "tolerance", "halfwidth")
 SWEEP_KEYS = ("axis", "from", "to", "points", "spacing")
 RUN_KEYS = ("r_inf",)
 
-INT_KEYS = {"N", "points", "panels", "levels", "endpoint_exponent"}
-STR_KEYS = {"axis", "spacing", "format"}
+#: The keys of each parameter class; their defaults are the CLI's defaults.
+PARAM_KEYS = {BosonGasParams: BOUNDARY_KEYS, BulkParams: BULK_KEYS, QuadratureSpec: QUAD_KEYS}
+
+#: The keys each subcommand reads; every subcommand also reads "format".
+SUBCOMMAND_KEYS = {
+    "boundary": BOUNDARY_KEYS + QUAD_KEYS,
+    "bulk": BULK_KEYS + QUAD_KEYS + RUN_KEYS,
+    "match": BULK_KEYS,
+    "sweep": BOUNDARY_KEYS + BULK_KEYS + QUAD_KEYS + RUN_KEYS + SWEEP_KEYS,
+    "verify": (),
+}
+
+INT_KEYS = {"N", "points", "panels", "levels"}
+#: String keys with a fixed set of values; the first is the default.
+CHOICES = {"format": ("json", "csv"), "spacing": ("linear", "log")}
+STR_KEYS = {"axis"} | set(CHOICES)
 
 #: CLI spellings mapped onto canonical field names.
 KEY_ALIASES = {
@@ -45,16 +63,6 @@ KEY_ALIASES = {
     "β": "beta", "ξ": "xi",
     "V₀0": "V0", "V₀": "V0", "V0~": "V0", "Vt0": "V0",
     "r+": "rp", "r₊": "rp",
-}
-
-BOUNDARY_DEFAULTS = {"N": 1, "q": 1.0, "m": 1.0, "H": 1.0, "beta": 0.0, "k": 0.0}
-BULK_DEFAULTS = {
-    "L": 1.0, "xi": -1.0, "Qt": 1.0, "V0": 0.0, "z": 4.0,
-    "rp": 1.0, "G": 1.0,
-}
-QUAD_DEFAULTS = {
-    "panels": 2048, "levels": 2, "tolerance": 1e-10,
-    "halfwidth": 10.0, "endpoint_exponent": 2,
 }
 
 SWEEPABLE = set(BOUNDARY_KEYS + BULK_KEYS) - {"N"}
@@ -142,71 +150,28 @@ def _parse_extras(tokens) -> dict:
     return out
 
 
-def _allowed_keys(subcommand: str) -> set:
-    if subcommand == "boundary":
-        return set(BOUNDARY_KEYS) | set(QUAD_KEYS)
-    if subcommand == "bulk":
-        return set(BULK_KEYS) | set(QUAD_KEYS) | set(RUN_KEYS)
-    if subcommand == "match":
-        return set(BULK_KEYS)
-    if subcommand == "sweep":
-        return set(BOUNDARY_KEYS) | set(BULK_KEYS) | set(QUAD_KEYS) | set(RUN_KEYS) | set(SWEEP_KEYS)
-    return set()
-
-
-def _effective_config(subcommand: str, file_cfg: dict, flag_cfg: dict, ns) -> dict:
-    allowed = _allowed_keys(subcommand)
-    cfg = {}
-    if subcommand in ("boundary", "sweep"):
-        cfg.update(BOUNDARY_DEFAULTS)
-    if subcommand in ("bulk", "match", "sweep"):
-        cfg.update(BULK_DEFAULTS)
-    if subcommand in ("boundary", "bulk", "sweep"):
-        cfg.update(QUAD_DEFAULTS)
-
-    for source in (file_cfg, flag_cfg):
+def _effective_config(subcommand: str, *sources) -> dict:
+    """Defaults from the parameter classes and CHOICES, then each source in
+    turn (later sources win). r_inf, axis, from, to and points have no
+    default; they enter the configuration only when given."""
+    keys = SUBCOMMAND_KEYS[subcommand] + ("format",)
+    cfg = {key: CHOICES[key][0] for key in keys if key in CHOICES}
+    for cls, owned in PARAM_KEYS.items():
+        defaults = cls()
+        cfg.update((key, getattr(defaults, key)) for key in owned if key in keys)
+    for source in sources:
         for key, raw in source.items():
-            if key == "format":
-                cfg["format"] = raw
-                continue
-            if key not in allowed:
+            if key not in keys:
                 raise _UsageError(f"key {key!r} is not used by subcommand {subcommand!r}")
             cfg[key] = _coerce(key, raw)
-
-    # sweep flags win over config-file sweep keys
-    if subcommand == "sweep":
-        if ns.axis is not None:
-            cfg["axis"] = ns.axis
-        if ns.sweep_from is not None:
-            cfg["from"] = ns.sweep_from
-        if ns.sweep_to is not None:
-            cfg["to"] = ns.sweep_to
-        if ns.points is not None:
-            cfg["points"] = ns.points
-        if ns.log:
-            cfg["spacing"] = "log"
-        elif ns.linear:
-            cfg["spacing"] = "linear"
-        cfg.setdefault("spacing", "linear")
-
-    if ns.format is not None:
-        cfg["format"] = ns.format
-    cfg.setdefault("format", "json")
-    if cfg["format"] not in ("csv", "json"):
-        raise _UsageError(f"format must be csv or json, got {cfg['format']!r}")
+    for key, allowed in CHOICES.items():
+        if key in cfg and cfg[key] not in allowed:
+            raise _UsageError(f"{key} must be {' or '.join(allowed)}, got {cfg[key]!r}")
     return cfg
 
 
-def _boson_params(cfg) -> BosonGasParams:
-    return BosonGasParams(**{k: cfg[k] for k in BOUNDARY_KEYS})
-
-
-def _bulk_params(cfg) -> BulkParams:
-    return BulkParams(**{k: cfg[k] for k in BULK_KEYS})
-
-
-def _quad_spec(cfg) -> QuadratureSpec:
-    return QuadratureSpec(**{k: cfg[k] for k in QUAD_KEYS})
+def _params(cls, cfg):
+    return cls(**{k: cfg[k] for k in PARAM_KEYS[cls]})
 
 
 # ---------- output ----------
@@ -278,7 +243,7 @@ def _emit(outdir: Path, name: str, cfg: dict, results: dict, flags=(), invariant
 # ---------- subcommands ----------
 
 def _run_boundary_point(cfg, spec):
-    p = _boson_params(cfg)
+    p = _params(BosonGasParams, cfg)
     fit = _call("xi_f_from_fit", boundary.xi_f_from_fit, p, None, spec)
     exact = _call("xi_f_analytic", boundary.xi_f_analytic, p)
     return {
@@ -296,7 +261,7 @@ def _series_finite(p):
 
 
 def _run_bulk_point(cfg, spec):
-    p = _bulk_params(cfg)
+    p = _params(BulkParams, cfg)
     r_inf = cfg.get("r_inf", 100.0 * p.rp)
     eps = p.rp / r_inf
     v_exact = _call("volume_exact", volume.volume_exact, p, r_inf, spec)
@@ -313,7 +278,7 @@ def _run_bulk_point(cfg, spec):
 
 
 def _run_match_point(cfg):
-    p = _bulk_params(cfg)
+    p = _params(BulkParams, cfg)
     report = _call("verify_duality", duality.verify_duality, p)
     results = {
         "matched_N": report.matched_N,
@@ -326,13 +291,13 @@ def _run_match_point(cfg):
 
 
 def _cmd_boundary(cfg, outdir):
-    results = _run_boundary_point(cfg, _quad_spec(cfg))
+    results = _run_boundary_point(cfg, _params(QuadratureSpec, cfg))
     _emit(outdir, "boundary", cfg, results)
     return 0
 
 
 def _cmd_bulk(cfg, outdir):
-    results = _run_bulk_point(cfg, _quad_spec(cfg))
+    results = _run_bulk_point(cfg, _params(QuadratureSpec, cfg))
     _emit(outdir, "bulk", cfg, results)
     return 0
 
@@ -376,7 +341,7 @@ def _cmd_sweep(cfg, outdir):
         raise _UsageError(f"cannot sweep {cfg['axis']!r}; valid axes: {sorted(SWEEPABLE)}")
     cfg["axis"] = axis
     values = _sweep_values(cfg)
-    spec = _quad_spec(cfg)
+    spec = _params(QuadratureSpec, cfg)
     is_boundary = axis in BOUNDARY_KEYS
 
     def eval_point(value):
@@ -431,22 +396,17 @@ def _cmd_verify(cfg, outdir):
 
 def main(argv=None) -> int:
     parser = _Parser(prog="lifshitz-fidelity", allow_abbrev=False)
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=SUBCOMMAND_KEYS)
     parser.add_argument("--config", default=None)
     parser.add_argument("--out", default=".")
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--axis", default=None)
-    parser.add_argument("--from", dest="sweep_from", type=float, default=None)
-    parser.add_argument("--to", dest="sweep_to", type=float, default=None)
-    parser.add_argument("--points", type=int, default=None)
-    parser.add_argument("--log", action="store_true")
-    parser.add_argument("--linear", action="store_true")
-
+    parser.add_argument("--log", action="store_true")  # shorthand for --spacing log
     try:
         ns, extra = parser.parse_known_args(argv)
-        overrides = _parse_extras(extra)
+        flag_cfg = _parse_extras(extra)
+        if ns.log:
+            flag_cfg["spacing"] = "log"
         file_cfg = parse_config_file(ns.config) if ns.config else {}
-        cfg = _effective_config(ns.subcommand, file_cfg, overrides, ns)
+        cfg = _effective_config(ns.subcommand, file_cfg, flag_cfg)
         outdir = Path(ns.out)
         outdir.mkdir(parents=True, exist_ok=True)
     except (_UsageError, OSError) as exc:
@@ -468,9 +428,6 @@ def main(argv=None) -> int:
         return 1
     except _NumericalFailure as exc:
         print(f"numerical failure in {exc.op}: {exc.cause}", file=sys.stderr)
-        return 2
-    except LifshitzFidelityError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except NUMERICAL_ERRORS as exc:  # raised outside a named operation
         print(f"numerical failure in {ns.subcommand}: {exc}", file=sys.stderr)

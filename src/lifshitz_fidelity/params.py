@@ -77,7 +77,12 @@ class BulkParams:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.z >= 1:
             raise DomainError(f"z must be >= 1, got {self.z}")
-        derived = -3.0 / self.L**2
+        try:
+            derived = -3.0 / self.L**2
+        except ArithmeticError:  # L**2 underflows to 0 or overflows
+            derived = math.nan
+        if not math.isfinite(derived):
+            raise DomainError(f"L={self.L} is out of range: -3/L^2 is not a finite float")
         if self.Lambda is None:
             object.__setattr__(self, "Lambda", derived)
         elif abs(self.Lambda - derived) > LAMBDA_CHECK_TOL * max(1.0, abs(derived)):
@@ -99,17 +104,18 @@ class BulkParams:
 class QuadratureSpec:
     """Controls for the composite-Simpson quadratures and the grid-eigenvalue kernel.
 
-    panels             base Simpson panel count; grids carry 2*panels + 1 points
-    endpoint_exponent  power of the endpoint substitution that absorbs
-                       inverse-square-root singularities (s^2 by default)
-    levels             number of dyadic refinement levels (>= 2 gives a
-                       Richardson error estimate)
-    tolerance          relative convergence / tail-coverage threshold
-    halfwidth          Gaussian-grid half width in units of sigma
+    panels     base Simpson panel count; grids carry 2*panels + 1 points
+    levels     number of dyadic refinement levels (>= 2 gives a Richardson
+               error estimate)
+    tolerance  relative convergence / tail-coverage threshold
+    halfwidth  Gaussian-grid half width in units of sigma
+
+    The bulk quadratures absorb inverse-square-root endpoint singularities
+    with the fixed substitution r = lo + (hi - lo) s^2 (w = 1 - (1 - w_lo) s^2
+    on the w grid), whose endpoint limits are derived in closed form.
     """
 
     panels: int = 2048
-    endpoint_exponent: int = 2
     levels: int = 2
     tolerance: float = 1e-10
     halfwidth: float = 10.0
@@ -117,8 +123,6 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.panels < 64:
             raise DomainError(f"panels must be >= 64, got {self.panels}")
-        if self.endpoint_exponent not in (2, 3, 4):
-            raise DomainError("endpoint_exponent must be 2, 3 or 4")
         if self.levels < 1:
             raise DomainError("levels must be >= 1")
         if not self.tolerance > 0:

@@ -100,7 +100,8 @@ def _scale(*vals):
 
 
 def _integrate_r(cv, cm, hcoef, rp, zexp, lo, hi, spec):
-    """Radial quadrature of r^2/sqrt(B) on [lo, hi] for the parametric B."""
+    """Radial quadrature of r^2/sqrt(B) on [lo, hi] for the parametric B,
+    in s with r = lo + (hi - lo) s^2."""
     if hi < lo:
         raise DomainError("upper limit below lower limit")
     if hi == lo:
@@ -108,14 +109,13 @@ def _integrate_r(cv, cm, hcoef, rp, zexp, lo, hi, spec):
     if lo == 0.0 and hcoef != 0.0:
         raise DomainError("horizon term diverges at r = 0")
     span = hi - lo
-    mexp = spec.endpoint_exponent
     b_lo = cv if lo == 0.0 else float(cv + (rp / lo) ** zexp * hcoef - cm * lo * lo)
     scale = _scale(cv, cm * hi * hi, hcoef)
     if b_lo < -ENDPOINT_ZERO_TOL * scale:
         raise NonPositiveBlackeningError(f"B({lo}) = {b_lo} < 0 at the lower endpoint")
 
     y0 = 0.0
-    if abs(b_lo) <= ENDPOINT_ZERO_TOL * scale and lo > 0.0 and mexp == 2:
+    if abs(b_lo) <= ENDPOINT_ZERO_TOL * scale and lo > 0.0:
         bp = -zexp * (rp / lo) ** zexp * hcoef / lo - 2.0 * cm * lo
         if bp <= 0.0:
             raise NonPositiveBlackeningError("degenerate horizon: B'(rp) <= 0")
@@ -123,7 +123,7 @@ def _integrate_r(cv, cm, hcoef, rp, zexp, lo, hi, spec):
 
     def make(npts):
         s = np.linspace(0.0, 1.0, npts)
-        y = kernels.volume_integrand_r(s, lo, span, mexp, cv, cm, hcoef, rp, zexp, y0)
+        y = kernels.volume_integrand_r(s, lo, span, 2, cv, cm, hcoef, rp, zexp, y0)
         if not np.all(np.isfinite(y)):
             raise NonPositiveBlackeningError(
                 "blackening factor non-positive inside the integration domain"
@@ -140,19 +140,19 @@ def _integrate_w(cvterm, bcoef, bm2, zexp, eps, spec):
     """Quadrature of 1/(w^4 sqrt(b(w))) on [eps, 1].
 
     b(w) = cvterm + bcoef*w^zexp - bm2/w^2. A zero of b at w = 1 (the
-    horizon image) is absorbed by the endpoint substitution; the steep
-    w^-3 growth toward eps is handled on a logarithmic grid below W_SPLIT.
+    horizon image) is absorbed by the substitution w = 1 - (1 - split) s^2;
+    the steep w^-3 growth toward eps is handled on a logarithmic grid below
+    W_SPLIT.
     """
     b_one = cvterm + bcoef - bm2
     scale = _scale(cvterm, bcoef, bm2)
     if b_one < -ENDPOINT_ZERO_TOL * scale:
         raise NonPositiveBlackeningError(f"integrand imaginary at w = 1: b(1) = {b_one}")
 
-    mexp = spec.endpoint_exponent
     split = W_SPLIT if eps < 0.9 * W_SPLIT else eps
 
     y0 = 0.0
-    if abs(b_one) <= ENDPOINT_ZERO_TOL * scale and mexp == 2:
+    if abs(b_one) <= ENDPOINT_ZERO_TOL * scale:
         bp_one = zexp * bcoef + 2.0 * bm2
         if -bp_one <= 0.0:
             raise NonPositiveBlackeningError("degenerate zero of the integrand at w = 1")
@@ -160,7 +160,7 @@ def _integrate_w(cvterm, bcoef, bm2, zexp, eps, spec):
 
     def make_top(npts):
         s = np.linspace(0.0, 1.0, npts)
-        y = kernels.wform_integrand_top(s, split, mexp, cvterm, bcoef, bm2, zexp, y0)
+        y = kernels.wform_integrand_top(s, split, 2, cvterm, bcoef, bm2, zexp, y0)
         if not np.all(np.isfinite(y)):
             raise NonPositiveBlackeningError("integrand non-positive on the w grid")
         return y, s

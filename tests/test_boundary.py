@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lifshitz_fidelity import (
     BosonGasParams,
     ConvergenceError,
     DomainError,
+    FitError,
     GridCoverageError,
     QuadratureSpec,
     fidelity,
@@ -227,6 +229,17 @@ def test_fit_sample_preconditions():
         xi_f_from_fit(p, dH_samples=(1e-3, 2e-3, 3e-3))
     with pytest.raises(DomainError):
         xi_f_from_fit(p, dH_samples=(1e-3, 2e-3, 3e-3, 5e-2))
+
+
+@pytest.mark.parametrize("H", [1e-300, 1e307])
+def test_fit_out_of_float_range_raises_before_numpy_warns(H, capfd):
+    # dH is proportional to H, so the dH^2..dH^4 design columns underflow to 0
+    # (1e-300) or overflow (1e307); NaN input would make LAPACK print to stdout
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError):
+            xi_f_from_fit(BosonGasParams(H=H))
+    assert capfd.readouterr().out == ""
 
 
 # ---------- closed-form susceptibility ----------

@@ -151,6 +151,10 @@ def test_unicode_and_alias_keys(tmp_path):
     ["bulk", "--gamma", "0"],
     ["boundary", "--out", "{tmp}/clash"],     # artifact path is a directory
     ["sweep", "--axis", "H", "--from", "1", "--to", "2", "--points", "2", "--out", "{tmp}/clash"],
+    ["sweep", "--axis", "Qt", "--from", "1", "--to", "2", "--points", "3", "--spacing", "foo"],
+    ["boundary", "--axis", "H"],              # sweep keys belong to sweep only
+    ["bulk", "--log"],
+    ["boundary", "--format", "xml"],
 ])
 def test_validation_failures_exit_1(tmp_path, capsys, args):
     (tmp_path / "file").write_text("")
@@ -172,14 +176,15 @@ def test_numerical_failures_exit_2(tmp_path, capsys):
     assert "verify_duality" in capsys.readouterr().err
     # invalid parameter values are numerical domain failures, not usage errors
     assert run(["boundary", "--H", "-1.0", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure in boundary: H must be positive")
 
 
 @pytest.mark.parametrize("args", [
-    ["boundary", "--H", "1e-300"],    # numpy LinAlgError in the fit
+    ["boundary", "--H", "1e-300"],    # FitError: the fit's design matrix underflows
     ["bulk", "--rp", "1e200"],        # OverflowError
     ["bulk", "--Qt", "1e-200"],       # ZeroDivisionError in a named operation
     ["match", "--xi", "-1e-320"],
-    ["bulk", "--L", "1e-200"],        # ZeroDivisionError outside a named operation
+    ["bulk", "--L", "1e-200"],        # DomainError outside a named operation
 ])
 def test_arithmetic_failures_exit_2_without_traceback(tmp_path, capsys, args):
     assert run(args + ["--out", str(tmp_path)]) == 2

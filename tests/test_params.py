@@ -20,9 +20,10 @@ def test_boson_params_defaults_are_valid():
 @pytest.mark.parametrize("field,value", [
     ("L", 0.0), ("Qt", -1.0), ("rp", 0.0),
     ("G", 0.0), ("z", 0.5), ("R", -1.0),
+    ("L", 1e-200), ("L", 1e-160), ("L", 1e200),  # -3/L^2 not a finite float
 ])
 def test_bulk_params_rejects_bad_values(field, value):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=field):
         BulkParams(**{field: value})
 
 
@@ -45,7 +46,7 @@ def test_bulk_complexity_radius_defaults_to_curvature_scale():
 
 @pytest.mark.parametrize("kw", [
     {"panels": 32}, {"tolerance": 0.0}, {"levels": 0},
-    {"endpoint_exponent": 5}, {"tolerance": float("nan")}, {"halfwidth": -1.0},
+    {"halfwidth": float("nan")}, {"tolerance": float("nan")}, {"halfwidth": -1.0},
 ])
 def test_quadrature_spec_validation(kw):
     with pytest.raises(DomainError):
