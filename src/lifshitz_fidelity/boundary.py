@@ -3,9 +3,9 @@
 The per-particle problem reduces to a shifted 1D harmonic oscillator, so the
 ground state is a Gaussian of width parameter q*H centered at beta/(q*H).
 The susceptibility comes out three ways: a closed form, a quadratic fit to
-quadrature overlaps, and a finite-difference eigenvalue oracle for the
-energy. Evaluation is at t = 0 with identical k and beta in both states, so
-the plane-wave factors cancel and the transverse box modes contribute unit
+quadrature overlaps, and a sinc-DVR eigenvalue oracle for the energy.
+Evaluation is at t = 0 with identical k and beta in both states, so the
+plane-wave factors cancel and the transverse box modes contribute unit
 overlap.
 """
 from __future__ import annotations
@@ -16,14 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ConvergenceError, DomainError, FitError, GridCoverageError
+from .errors import DomainError, FitError, GridCoverageError
 from .params import BosonGasParams, QuadratureSpec
 
 #: Default grid for overlap quadratures: +-10 sigma, 4097 points, Simpson.
 OVERLAP_GRID = QuadratureSpec()
-#: Default grid for the eigenvalue oracle; tolerance bounds the difference
-#: between refinement levels, not the final (extrapolated) accuracy.
-EIGEN_GRID = QuadratureSpec(tolerance=1e-4)
+#: Sinc-DVR grid of the eigenvalue oracle: DVR_POINTS points on +-DVR_HALFWIDTH sigma.
+#: At 51 points the discretization error is ~1e-26; more points only add roundoff,
+#: which grows with the kinetic diagonal pi^2/(3 dx^2).
+DVR_POINTS = 51
+DVR_HALFWIDTH = 10.0
 
 #: Relative magnitude of the fit sample offsets, in units of H.
 FIT_SAMPLE_SCALES = (-4e-3, -3e-3, -2e-3, -1e-3, 1e-3, 2e-3, 3e-3, 4e-3)
@@ -90,46 +92,26 @@ def ground_state_wavefunction(state: GroundState1D, x):
     return (a / np.pi) ** 0.25 * np.exp(-0.5 * a * (x - state.center) ** 2)
 
 
-def oscillator_spectrum_oracle(p: BosonGasParams, grid: QuadratureSpec = EIGEN_GRID) -> float:
-    """Lowest energy from finite-difference diagonalization of the 1D operator.
+def oscillator_spectrum_oracle(p: BosonGasParams) -> float:
+    """Lowest energy from a sinc-DVR diagonalization of the 1D operator.
 
-    Discretizes -d^2/dx^2 + q^2 H^2 x^2 - 2 q beta H x with second-order
-    central differences on [x0 - w*sigma, x0 + w*sigma], adds back the k^2
-    and beta^2 shifts, and Richardson-extrapolates over the refinement
-    levels. Converges to (q*H + k^2)/(2m) independent of beta.
+    Represents -d^2/dx^2 + q^2 H^2 x^2 - 2 q beta H x on DVR_POINTS points
+    spanning x0 +- DVR_HALFWIDTH sigma (Colbert & Miller, J. Chem. Phys. 96,
+    1982 (1992)): the kinetic matrix is dense, the potential is diagonal.
+    Adds back the k^2 and beta^2 shifts; the result converges to
+    (q*H + k^2)/(2m) independent of beta. The discretization error is about
+    1e-26 relative; roundoff, which grows with the cancelled beta^2 shift,
+    keeps |E - exact| <= 1e-13 (q*H + k^2 + beta^2)/(2m) for q, H in
+    [1e-2, 1e2], m in [0.1, 10], |beta| <= 5 and |k| <= 2.
     """
-    from scipy.linalg import eigvalsh_tridiagonal  # lazy: only this oracle needs scipy
-
-    if grid.halfwidth < 8:
-        raise DomainError("eigen oracle requires halfwidth >= 8 sigma")
-    if 2 * grid.panels + 1 < 2000:
-        raise DomainError("eigen oracle requires at least 2000 grid points")
-    if grid.levels < 2:
-        raise DomainError("eigen oracle needs >= 2 levels for a convergence check")
-
     a = p.q * p.H
-    sigma = a**-0.5
-    x0 = p.beta / a
-    lo, hi = x0 - grid.halfwidth * sigma, x0 + grid.halfwidth * sigma
-
-    energies = []
-    n = 2 * grid.panels + 1
-    for _ in range(grid.levels):
-        x = np.linspace(lo, hi, n)
-        dx = x[1] - x[0]
-        v = (p.q * p.H * x) ** 2 - 2.0 * p.q * p.beta * p.H * x
-        diag = 2.0 / dx**2 + v
-        off = np.full(n - 1, -1.0 / dx**2)
-        lowest = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
-        energies.append((lowest + p.k**2 + p.beta**2) / (2.0 * p.m))
-        n = 2 * n - 1  # halves dx
-
-    if abs(energies[-1] - energies[-2]) > grid.tolerance * max(1.0, abs(energies[-1])):
-        raise ConvergenceError(
-            f"eigenvalue refinements differ by {abs(energies[-1] - energies[-2]):.3e}"
-        )
-    # second-order differences: one Richardson step removes the dx^2 term
-    return energies[-1] + (energies[-1] - energies[-2]) / 3.0
+    dx = 2.0 * DVR_HALFWIDTH * a**-0.5 / (DVR_POINTS - 1)
+    x = p.beta / a + dx * (np.arange(DVR_POINTS) - DVR_POINTS // 2)
+    d = np.subtract.outer(np.arange(DVR_POINTS), np.arange(DVR_POINTS))  # i - j
+    hamiltonian = (-1.0) ** d * np.where(d == 0, np.pi**2 / 3, 2.0 / np.maximum(d * d, 1)) / dx**2
+    hamiltonian += np.diag((a * x) ** 2 - 2.0 * p.q * p.beta * p.H * x)
+    lowest = np.linalg.eigvalsh(hamiltonian)[0]
+    return (lowest + p.k**2 + p.beta**2) / (2.0 * p.m)
 
 
 def gaussian_overlap(a: float, xa: float, b: float, xb: float) -> float:
@@ -150,7 +132,8 @@ def overlap_quadrature(p: BosonGasParams, dH: float, grid: QuadratureSpec = OVER
 
     Integrates the product wavefunction by composite Simpson on a grid
     covering both Gaussians out to grid.halfwidth sigma; raises
-    GridCoverageError if the integrand has not decayed at the edges.
+    GridCoverageError if the integrand has not decayed at the edges, and
+    DomainError if its exponent a (x - xa)^2 + b (x - xb)^2 overflows there.
     """
     if dH <= -p.H:
         raise DomainError(f"dH must exceed -H, got dH={dH}")
@@ -161,6 +144,10 @@ def overlap_quadrature(p: BosonGasParams, dH: float, grid: QuadratureSpec = OVER
     sa, sb = a**-0.5, b**-0.5
     lo = min(xa - grid.halfwidth * sa, xb - grid.halfwidth * sb)
     hi = max(xa + grid.halfwidth * sa, xb + grid.halfwidth * sb)
+    ra = max(abs(lo - xa), abs(hi - xa))  # largest |x - xa| on the grid
+    rb = max(abs(lo - xb), abs(hi - xb))
+    if not math.isfinite(a * (ra * ra) + b * (rb * rb)):  # the kernel's order of operations
+        raise DomainError(f"overlap exponent overflows on the grid [{lo:.3g}, {hi:.3g}]")
     norm = (a * b) ** 0.25 / math.sqrt(math.pi)
 
     def make(npts):

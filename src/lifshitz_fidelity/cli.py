@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -35,7 +36,8 @@ from .errors import LifshitzFidelityError
 from .params import BosonGasParams, BulkParams, QuadratureSpec
 
 BOUNDARY_KEYS = ("N", "q", "m", "H", "beta", "k")
-BULK_KEYS = ("L", "xi", "Qt", "V0", "z", "rp", "G")
+#: BulkParams.z is not a key: every bulk output needs z = 4.
+BULK_KEYS = ("L", "xi", "Qt", "V0", "rp", "G")
 QUAD_KEYS = ("panels", "levels", "tolerance", "halfwidth")
 SWEEP_KEYS = ("axis", "from", "to", "points", "spacing")
 RUN_KEYS = ("r_inf",)
@@ -312,6 +314,8 @@ def _sweep_values(cfg):
     lo, hi, n = cfg["from"], cfg["to"], cfg["points"]
     if n < 2:
         raise _UsageError("sweep needs points >= 2")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise _UsageError("sweep range must be finite")
     if lo == hi:
         raise _UsageError("sweep range is degenerate")
     if cfg["spacing"] == "log":

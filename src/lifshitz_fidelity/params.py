@@ -2,17 +2,25 @@
 
 Natural units hbar = c = 1 throughout; every quantity is a plain float in
 working units. Validation happens at construction so downstream code can
-assume the invariants.
+assume the invariants; every float field must be finite.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .errors import DomainError
 
 #: Tolerance for the Lambda = -3/L^2 consistency check.
 LAMBDA_CHECK_TOL = 1e-12
+
+
+def _require_finite(params):
+    """Raise a DomainError naming the first float field that is inf or NaN."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -35,14 +43,12 @@ class BosonGasParams:
     k: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if int(self.N) != self.N or self.N < 1:
             raise DomainError(f"N must be a positive integer, got {self.N}")
         for name in ("q", "m", "H"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("beta", "k"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,7 @@ class BulkParams:
     Lambda: float | None = None
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("L", "Qt", "rp", "G"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
@@ -102,7 +109,7 @@ class BulkParams:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for the composite-Simpson quadratures and the grid-eigenvalue kernel.
+    """Controls for the composite-Simpson quadratures.
 
     panels     base Simpson panel count; grids carry 2*panels + 1 points
     levels     number of dyadic refinement levels (>= 2 gives a Richardson
@@ -121,6 +128,7 @@ class QuadratureSpec:
     halfwidth: float = 10.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.panels < 64:
             raise DomainError(f"panels must be >= 64, got {self.panels}")
         if self.levels < 1:

@@ -120,7 +120,7 @@ def check_beta_energy_cancellation() -> CheckResult:
         worst = max(worst, abs(e - e_ref) / e_ref)
     exact = 0.5
     err = abs(e_ref - exact) / exact
-    ok = worst <= 1e-6 and err <= 1e-6
+    ok = worst <= 1e-12 and err <= 1e-12
     return CheckResult("beta-energy-cancellation", ok,
                        f"beta spread = {worst:.2e}, |E - qH/2m|/E = {err:.2e}")
 

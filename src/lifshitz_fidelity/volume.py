@@ -196,8 +196,8 @@ def _param_coeffs(p: BulkParams):
 
 def volume_exact(p: BulkParams, r_inf: float, spec: QuadratureSpec = DEFAULT_SPEC) -> VolumeResult:
     """Maximal volume from rp out to the IR cutoff r_inf, by radial quadrature."""
-    if r_inf <= p.rp:
-        raise DomainError(f"r_inf must exceed rp={p.rp}, got {r_inf}")
+    if not (math.isfinite(r_inf) and r_inf > p.rp):
+        raise DomainError(f"r_inf must be finite and exceed rp={p.rp}, got {r_inf}")
     cv, cm, hcoef, zexp = _param_coeffs(p)
     value, err = _integrate_r(cv, cm, hcoef, p.rp, zexp, p.rp, r_inf, spec)
     div = 1.0 / (2.0 * math.sqrt(-cm)) if cm < 0 else float("nan")

@@ -155,6 +155,9 @@ def test_unicode_and_alias_keys(tmp_path):
     ["boundary", "--axis", "H"],              # sweep keys belong to sweep only
     ["bulk", "--log"],
     ["boundary", "--format", "xml"],
+    ["bulk", "--z", "3.0"],                   # z is a library field, not a key
+    ["sweep", "--axis", "z", "--from", "3.9", "--to", "4.1", "--points", "3"],
+    ["sweep", "--axis", "H", "--from", "1", "--to", "inf", "--points", "3"],
 ])
 def test_validation_failures_exit_1(tmp_path, capsys, args):
     (tmp_path / "file").write_text("")
@@ -168,9 +171,6 @@ def test_validation_failures_exit_1(tmp_path, capsys, args):
 
 
 def test_numerical_failures_exit_2(tmp_path, capsys):
-    # z != 4 breaks the closed-form susceptibility
-    assert run(["bulk", "--z", "3.0", "--out", str(tmp_path)]) == 2
-    assert "volume_series_z4" in capsys.readouterr().err
     # positive coupling breaks the dictionary
     assert run(["match", "--xi", "1.0", "--out", str(tmp_path)]) == 2
     assert "verify_duality" in capsys.readouterr().err
@@ -185,6 +185,11 @@ def test_numerical_failures_exit_2(tmp_path, capsys):
     ["bulk", "--Qt", "1e-200"],       # ZeroDivisionError in a named operation
     ["match", "--xi", "-1e-320"],
     ["bulk", "--L", "1e-200"],        # DomainError outside a named operation
+    ["match", "--Qt", "inf"],         # DomainError: non-finite parameters
+    ["match", "--xi", "nan"],
+    ["bulk", "--L", "inf"],
+    ["bulk", "--r_inf", "inf"],
+    ["boundary", "--beta", "1e200"],  # DomainError: the overlap exponent overflows
 ])
 def test_arithmetic_failures_exit_2_without_traceback(tmp_path, capsys, args):
     assert run(args + ["--out", str(tmp_path)]) == 2

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from lifshitz_fidelity import BosonGasParams, BulkParams, DomainError, QuadratureSpec
@@ -6,9 +8,10 @@ from lifshitz_fidelity import BosonGasParams, BulkParams, DomainError, Quadratur
 @pytest.mark.parametrize("field,value", [
     ("N", 0), ("N", -2), ("q", 0.0), ("q", -1.0),
     ("m", 0.0), ("H", -3.0), ("beta", float("nan")),
+    ("q", math.inf), ("H", math.inf), ("m", math.nan), ("k", -math.inf), ("N", math.inf),
 ])
 def test_boson_params_rejects_bad_values(field, value):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=field):
         BosonGasParams(**{field: value})
 
 
@@ -21,6 +24,8 @@ def test_boson_params_defaults_are_valid():
     ("L", 0.0), ("Qt", -1.0), ("rp", 0.0),
     ("G", 0.0), ("z", 0.5), ("R", -1.0),
     ("L", 1e-200), ("L", 1e-160), ("L", 1e200),  # -3/L^2 not a finite float
+    ("Qt", math.inf), ("xi", math.nan), ("L", math.inf), ("V0", -math.inf),
+    ("z", math.inf), ("G", math.nan), ("R", math.inf), ("Lambda", math.nan),
 ])
 def test_bulk_params_rejects_bad_values(field, value):
     with pytest.raises(DomainError, match=field):
@@ -47,6 +52,7 @@ def test_bulk_complexity_radius_defaults_to_curvature_scale():
 @pytest.mark.parametrize("kw", [
     {"panels": 32}, {"tolerance": 0.0}, {"levels": 0},
     {"halfwidth": float("nan")}, {"tolerance": float("nan")}, {"halfwidth": -1.0},
+    {"tolerance": math.inf}, {"halfwidth": math.inf},
 ])
 def test_quadrature_spec_validation(kw):
     with pytest.raises(DomainError):
