@@ -3,7 +3,12 @@
 The per-particle problem reduces to a shifted 1D harmonic oscillator, so the
 ground state is a Gaussian of width parameter q*H centered at beta/(q*H).
 The susceptibility comes out three ways: a closed form, a quadratic fit to
-quadrature overlaps, and a sinc-DVR eigenvalue oracle for the energy.
+quadrature overlap deficits, and a sinc-DVR eigenvalue oracle for the energy.
+Overlaps integrate the product of the two Gaussians, which keeps tiny
+overlaps to relative precision; the fit integrates the deficit
+(1/2) int (psi_H - psi_{H+dH})^2 dx instead, which keeps 1 - f ~ 1e-7 to
+relative precision. Both share one grid builder that lays out one C-ordered
+row per dH, so a fit's samples go through one (samples x grid) quadrature.
 Evaluation is at t = 0 with identical k and beta in both states, so the
 plane-wave factors cancel and the transverse box modes contribute unit
 overlap.
@@ -19,7 +24,7 @@ from . import kernels
 from .errors import DomainError, FitError, GridCoverageError
 from .params import BosonGasParams, QuadratureSpec
 
-#: Default grid for overlap quadratures: +-10 sigma, 4097 points, Simpson.
+#: Default grid for overlap quadratures: +-10 sigma, Simpson from 257 points.
 OVERLAP_GRID = QuadratureSpec()
 #: Sinc-DVR grid of the eigenvalue oracle: DVR_POINTS points on +-DVR_HALFWIDTH sigma.
 #: At 51 points the discretization error is ~1e-26; more points only add roundoff,
@@ -127,43 +132,108 @@ def gaussian_overlap(a: float, xa: float, b: float, xb: float) -> float:
     )
 
 
+def _overlap_pairs(p: BosonGasParams, dH, halfwidth: float):
+    """Ground-state pairs at H and H + dH for a vector of dH, and their grid.
+
+    Returns (a, xa, b, xb, grid_x): the widths and centres of the states at H
+    (scalars) and at H + dH (column vectors, one row per dH), and grid_x(n),
+    the C-ordered (rows x n) abscissae covering both Gaussians of each row
+    out to halfwidth sigma. Each row is linspace's own arithmetic, so it is
+    bit-identical to a 1-D np.linspace call; linspace with array endpoints
+    returns a strided array whose row sums skip pairwise summation. Raises
+    DomainError if a dH is <= -H or a row's exponent
+    a (x - xa)^2 + b (x - xb)^2 overflows on its grid.
+    """
+    dH = np.asarray(dH, dtype=float)[:, None]
+    if np.any(dH <= -p.H):
+        raise DomainError(f"dH must exceed -H, got dH={dH.min()}")
+    a = p.q * p.H
+    xa = p.beta / a
+    sa = a**-0.5
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # caught below
+        b = p.q * (p.H + dH)
+        xb = p.beta / b
+        sb = b**-0.5
+        lo = np.minimum(xa - halfwidth * sa, xb - halfwidth * sb)
+        hi = np.maximum(xa + halfwidth * sa, xb + halfwidth * sb)
+        ra = np.maximum(abs(lo - xa), abs(hi - xa))  # largest |x - xa| on the grid
+        rb = np.maximum(abs(lo - xb), abs(hi - xb))
+        exponent = a * (ra * ra) + b * (rb * rb)  # the kernel's order of operations
+    bad = ~np.isfinite(exponent[:, 0])
+    if bad.any():
+        i = bad.argmax()
+        raise DomainError(
+            f"overlap exponent overflows on the grid [{lo[i, 0]:.3g}, {hi[i, 0]:.3g}]"
+        )
+
+    def grid_x(n):
+        x = np.arange(n) * ((hi - lo) / (n - 1)) + lo
+        x[:, -1] = hi[:, 0]
+        return x
+
+    return a, xa, b, xb, grid_x
+
+
+def _check_edges(y, tolerance):
+    if np.any(np.maximum(y[:, 0], y[:, -1]) > tolerance * y.max(axis=-1)):
+        raise GridCoverageError("overlap integrand truncated at the grid edge")
+
+
 def overlap_quadrature(p: BosonGasParams, dH: float, grid: QuadratureSpec = OVERLAP_GRID) -> float:
     """Numerical overlap of the ground states at fields H and H + dH.
 
     Integrates the product wavefunction by composite Simpson on a grid
-    covering both Gaussians out to grid.halfwidth sigma; raises
-    GridCoverageError if the integrand has not decayed at the edges, and
-    DomainError if its exponent a (x - xa)^2 + b (x - xb)^2 overflows there.
+    covering both Gaussians out to grid.halfwidth sigma, so tiny overlaps
+    keep their relative precision; raises GridCoverageError if the integrand
+    has not decayed at the edges, and DomainError if its exponent
+    a (x - xa)^2 + b (x - xb)^2 overflows there.
     """
-    if dH <= -p.H:
-        raise DomainError(f"dH must exceed -H, got dH={dH}")
-    a = p.q * p.H
-    b = p.q * (p.H + dH)
-    xa = p.beta / a
-    xb = p.beta / b
-    sa, sb = a**-0.5, b**-0.5
-    lo = min(xa - grid.halfwidth * sa, xb - grid.halfwidth * sb)
-    hi = max(xa + grid.halfwidth * sa, xb + grid.halfwidth * sb)
-    ra = max(abs(lo - xa), abs(hi - xa))  # largest |x - xa| on the grid
-    rb = max(abs(lo - xb), abs(hi - xb))
-    if not math.isfinite(a * (ra * ra) + b * (rb * rb)):  # the kernel's order of operations
-        raise DomainError(f"overlap exponent overflows on the grid [{lo:.3g}, {hi:.3g}]")
-    norm = (a * b) ** 0.25 / math.sqrt(math.pi)
+    a, xa, b, xb, grid_x = _overlap_pairs(p, [dH], grid.halfwidth)
 
     def make(npts):
-        x = np.linspace(lo, hi, npts)
+        x = grid_x(npts)
         y = kernels.gaussian_product(x, a, xa, b, xb)
-        if max(y[0], y[-1]) > grid.tolerance * y.max():
-            raise GridCoverageError("overlap integrand truncated at the grid edge")
+        _check_edges(y, grid.tolerance)
         return y, x
 
     value, _ = kernels.refined_simpson(make, grid)
-    return norm * value
+    norm = (a * float(b[0, 0])) ** 0.25 / math.sqrt(math.pi)
+    return norm * float(value[0])
 
 
 def fidelity(p: BosonGasParams, dH: float, grid: QuadratureSpec = OVERLAP_GRID) -> float:
     """N-particle overlap amplitude (per-particle overlap to the N-th power)."""
     return overlap_quadrature(p, dH, grid) ** p.N
+
+
+def _overlap_deficits(p: BosonGasParams, dH, grid: QuadratureSpec = OVERLAP_GRID):
+    """Per-particle deficits 1 - f = (1/2) int (psi_H - psi_{H+dH})^2 dx, one per dH.
+
+    All samples share one (samples x grid) quadrature. The squared difference
+    is formed as psi_H^2 expm1(log psi_{H+dH} - log psi_H)^2, with the log
+    ratio 1/4 log1p(d/a) - d (x^2 - xa xb)/2 and d = b - a exact, so the
+    deficit keeps its relative precision where 1 - f would cancel. Raises
+    GridCoverageError as overlap_quadrature does, and FitError where the
+    integrand is not finite or a deficit reaches 1 (no overlap left).
+    """
+    a, xa, b, xb, grid_x = _overlap_pairs(p, dH, grid.halfwidth)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the finiteness check
+        d = b - a  # exact (Sterbenz) while b/a lies in [1/2, 2]
+        k = 0.25 * np.log1p(d / a) + 0.5 * d * (xa * xb)
+
+        def make(npts):
+            x = grid_x(npts)
+            y = kernels.overlap_deficit(x, a, xa, d, k)
+            if not np.isfinite(y).all():
+                raise FitError("overlap deficit is not finite: the states no longer overlap")
+            _check_edges(y, grid.tolerance)
+            return y, x
+
+        value, _ = kernels.refined_simpson(make, grid)
+        u = 0.5 * math.sqrt(a / math.pi) * value
+    if not np.all(u < 1.0):
+        raise FitError(f"overlap deficit {u.max():.3g} >= 1: the states no longer overlap")
+    return u
 
 
 def xi_f_from_fit(
@@ -175,7 +245,10 @@ def xi_f_from_fit(
 
     Fits F - 1 and F^2 - 1 against dH^2 with cubic and quartic nuisance
     terms (the quartic tail of the exact overlap otherwise biases the
-    quadratic coefficient at the 1e-6 level). c_sq, from the squared
+    quadratic coefficient at the 1e-6 level), in one least-squares solve
+    with two right-hand sides. Both come from the per-particle deficits u
+    (_overlap_deficits) as expm1(N log1p(-u)) and expm1(2N log1p(-u)), which
+    hold their relative precision at every grid size. c_sq, from the squared
     overlap, is the reported susceptibility.
     """
     if dH_samples is None:
@@ -186,31 +259,30 @@ def xi_f_from_fit(
     if np.any(np.abs(d) / p.H > 1e-2):
         raise DomainError("fit samples must satisfy |dH|/H <= 1e-2")
 
-    f_amp = np.array([fidelity(p, float(s), grid) for s in d])
-    try:  # a column that underflows to 0 or overflows would reach LAPACK as NaN
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            design = np.column_stack([d**2, d**3, d**4])
-            scale = np.abs(design).max(axis=0)
-            design_s = design / scale
-    except FloatingPointError as exc:
-        raise FitError(f"fit design matrix dH^2..dH^4 out of float range: {exc}") from exc
-
-    def quadratic_coeff(y):
+    log_f = np.log1p(-_overlap_deficits(p, d, grid))
+    y = np.expm1(np.column_stack([p.N * log_f, 2 * p.N * log_f]))  # F - 1, F^2 - 1
+    # a column that underflows to 0 or overflows would reach LAPACK as NaN, and
+    # the coefficients divided by the column scales can overflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        design = np.column_stack([d**2, d**3, d**4])
+        scale = np.abs(design).max(axis=0)
+        design_s = design / scale
+        if not np.isfinite(design_s).all():
+            raise FitError("fit design matrix dH^2..dH^4 out of float range")
         coef, *_ = np.linalg.lstsq(design_s, y, rcond=None)
-        coef = coef / scale
-        resid = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
-        return -float(coef[0]), resid
+        coef /= scale[:, None]
+        if not np.isfinite(coef).all():
+            raise FitError("fit coefficients out of float range")
+        residual = float(np.sqrt(np.mean((design @ coef - y) ** 2, axis=0)).max())
+    c_amp, c_sq = -coef[0]
 
-    c_amp, res_amp = quadratic_coeff(f_amp - 1.0)
-    c_sq, res_sq = quadratic_coeff(f_amp**2 - 1.0)
-
-    residual = max(res_amp, res_sq)
     quad_term = abs(c_sq) * float(np.max(d**2))
     if residual > 1e-6 * quad_term:
         raise FitError(
             f"fit residual {residual:.3e} exceeds 1e-6 of quadratic term {quad_term:.3e}"
         )
-    return FidelityFit(c_amp=c_amp, c_sq=c_sq, residual=residual, samples=tuple(float(s) for s in d))
+    return FidelityFit(c_amp=float(c_amp), c_sq=float(c_sq), residual=residual,
+                       samples=tuple(float(s) for s in d))
 
 
 def xi_f_analytic(p: BosonGasParams) -> float:

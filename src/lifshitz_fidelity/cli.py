@@ -38,7 +38,7 @@ from .params import BosonGasParams, BulkParams, QuadratureSpec
 BOUNDARY_KEYS = ("N", "q", "m", "H", "beta", "k")
 #: BulkParams.z is not a key: every bulk output needs z = 4.
 BULK_KEYS = ("L", "xi", "Qt", "V0", "rp", "G")
-QUAD_KEYS = ("panels", "levels", "tolerance", "halfwidth")
+QUAD_KEYS = ("panels", "tolerance", "halfwidth")
 SWEEP_KEYS = ("axis", "from", "to", "points", "spacing")
 RUN_KEYS = ("r_inf",)
 
@@ -54,7 +54,7 @@ SUBCOMMAND_KEYS = {
     "verify": (),
 }
 
-INT_KEYS = {"N", "points", "panels", "levels"}
+INT_KEYS = {"N", "points", "panels"}
 #: String keys with a fixed set of values; the first is the default.
 CHOICES = {"format": ("json", "csv"), "spacing": ("linear", "log")}
 STR_KEYS = {"axis"} | set(CHOICES)
@@ -69,8 +69,9 @@ KEY_ALIASES = {
 
 SWEEPABLE = set(BOUNDARY_KEYS + BULK_KEYS) - {"N"}
 
-#: Finest grid of one sweep point (2*panels*2^(levels-1) + 1) from which a sweep
-#: runs on every usable core; below it threads only contend for the GIL.
+#: First grid of one sweep point (4*panels + 1) from which a sweep runs on
+#: every usable core; below it a sweep runs in the calling thread, since
+#: threads only contend for the GIL.
 THREADED_GRID_POINTS = 2**16
 
 
@@ -332,8 +333,7 @@ def _usable_cores() -> int:
 
 
 def _sweep_threads(spec) -> int:
-    finest = 2 * spec.panels * 2 ** (spec.levels - 1) + 1
-    return _usable_cores() if finest >= THREADED_GRID_POINTS else 1
+    return _usable_cores() if 4 * spec.panels + 1 >= THREADED_GRID_POINTS else 1
 
 
 def _cmd_sweep(cfg, outdir):
@@ -366,8 +366,12 @@ def _cmd_sweep(cfg, outdir):
         results["duality_residual"] = match_results["residual"]
         return results
 
-    with ThreadPoolExecutor(_sweep_threads(spec)) as pool:
-        rows_dicts = list(pool.map(eval_point, values))
+    threads = _sweep_threads(spec)
+    if threads == 1:
+        rows_dicts = [eval_point(v) for v in values]
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            rows_dicts = list(pool.map(eval_point, values))
 
     columns = [axis] + sorted(rows_dicts[0])
     rows = [[float(v)] + [d[k] for k in columns[1:]] for v, d in zip(values, rows_dicts)]

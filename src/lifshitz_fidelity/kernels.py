@@ -2,17 +2,20 @@
 
 Inner loops that dominate runtime: blackening-factor evaluation, the
 singular-endpoint volume integrands (radial and w-coordinate forms), the
-Gaussian overlap product, composite Simpson summation, and the dyadic
-refinement driver built on it. Per-kernel timings come from
-`python3 perfbench/run.py` (see perfbench/README.md).
+Gaussian overlap product and overlap deficit, composite Simpson summation,
+and the adaptive refinement driver built on it. Per-kernel timings come
+from `python3 perfbench/run.py` (see perfbench/README.md).
 
-The four grid kernels (the volume integrands and the Gaussian product)
-evaluate in place: each allocates its output and at most two scratch arrays
-of the grid's length and never writes into the grid it is given. They apply
-the same ufuncs to the same operands in the same order as the plain
-expressions they stand for (kept in tests/test_kernels.py as references), so
-every value is bit-identical; `**` with a scalar exponent stays an operator
-so numpy's square, sqrt and copy fast paths still apply.
+The five grid kernels (the volume integrands, the Gaussian product and the
+overlap deficit) evaluate in place: each allocates its output and at most
+two scratch arrays of the grid's shape and never writes into the grid it is
+given. They apply the same ufuncs to the same operands in the same order as
+the plain expressions they stand for (kept in tests/test_kernels.py as
+references), so every value is bit-identical; `**` with a scalar exponent
+stays an operator so numpy's square, sqrt and copy fast paths still apply.
+The Gaussian kernels and `simpson` also take a (rows x n) grid with
+per-row parameters as (rows x 1) columns, and each row keeps the bits of a
+one-row call when the grid is C-ordered.
 """
 from __future__ import annotations
 
@@ -91,24 +94,58 @@ def gaussian_product(x, a, xa, b, xb):
     return np.exp(y, out=y)
 
 
+def overlap_deficit(x, a, xa, d, k):
+    # exp(-a (x - xa)^2) expm1(k - d x^2 / 2)^2 is (psi_a - psi_b)^2 over the
+    # normalization of psi_a^2 when k - d x^2 / 2 = log(psi_b / psi_a) for the
+    # Gaussians of widths a and b = a + d. expm1 keeps the difference to full
+    # relative precision where psi_a - psi_b would cancel.
+    y = x - xa
+    y **= 2
+    y *= -a
+    np.exp(y, out=y)
+    g = x * x
+    g *= -0.5 * d
+    g += k
+    np.expm1(g, out=g)
+    g **= 2
+    y *= g
+    return y
+
+
 def simpson(y, h):
-    return (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()) * (h / 3.0)
+    """Composite Simpson over the last axis of y, step h (a scalar, or one per row)."""
+    return (y[..., 0] + y[..., -1] + 4.0 * y[..., 1:-1:2].sum(axis=-1)
+            + 2.0 * y[..., 2:-1:2].sum(axis=-1)) * (h / 3.0)
+
+
+#: Largest grid refined_simpson evaluates after its first one.
+MAX_GRID_POINTS = 2**20 + 1
 
 
 def refined_simpson(make_grid, spec):
-    """Composite Simpson with dyadic refinement and Richardson extrapolation.
+    """Composite Simpson with Richardson extrapolation on a doubling grid.
 
     make_grid(n_points) must return (y, x): integrand values on the uniform
-    abscissae x. It is called once, on the finest grid of
-    2*panels*2^(levels-1) + 1 points; coarser levels are its even
-    subsamples. Returns (value, error_estimate); with a single level the
-    estimate is 0.
+    abscissae x, either 1-D or one row per integral (rows x n_points, C
+    order). The first call is on 4*panels + 1 points; each step sums Simpson
+    on that grid and on its even subsample and extrapolates. The grid then
+    doubles (2n - 1 points) until every row's estimate is within
+    tolerance * max(1, |value|), or until the next grid would exceed
+    MAX_GRID_POINTS; the last step's (value, error_estimate) is returned
+    either way, so the caller decides whether it converged. Values are floats
+    for a 1-D grid and arrays (one per row) otherwise.
     """
-    top = spec.levels - 1
-    y, x = make_grid(2 * spec.panels * 2**top + 1)
-    h = (x[-1] - x[0]) / (len(x) - 1)  # a neighbour difference loses eps*|x[0]|/h relative
-    vals = [float(simpson(y[::2**k], h * 2**k)) for k in range(top, -1, -1)]
-    if len(vals) == 1:
-        return vals[0], 0.0
-    err = abs(vals[-1] - vals[-2]) / 15.0
-    return vals[-1] + (vals[-1] - vals[-2]) / 15.0, err
+    n = 4 * spec.panels + 1
+    while True:
+        y, x = make_grid(n)
+        h = (x[..., -1] - x[..., 0]) / (n - 1)  # a neighbour difference loses eps*|x[0]|/h relative
+        coarse = simpson(y[..., ::2], h * 2)
+        fine = simpson(y, h)
+        err = abs(fine - coarse) / 15.0
+        value = fine + (fine - coarse) / 15.0
+        if np.all(err <= spec.tolerance * np.maximum(1.0, abs(value))) or 2 * n - 1 > MAX_GRID_POINTS:
+            break
+        n = 2 * n - 1
+    if y.ndim == 1:
+        return float(value), float(err)
+    return value, err

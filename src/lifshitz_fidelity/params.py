@@ -111,9 +111,10 @@ class BulkParams:
 class QuadratureSpec:
     """Controls for the composite-Simpson quadratures.
 
-    panels     base Simpson panel count; grids carry 2*panels + 1 points
-    levels     number of dyadic refinement levels (>= 2 gives a Richardson
-               error estimate)
+    panels     Simpson panels of the coarse sum of the first step: its grid
+               carries 4*panels + 1 points and the coarse sum its even
+               subsample; the grid then doubles until the Richardson error
+               estimate meets tolerance (kernels.refined_simpson)
     tolerance  relative convergence / tail-coverage threshold
     halfwidth  Gaussian-grid half width in units of sigma
 
@@ -122,8 +123,7 @@ class QuadratureSpec:
     on the w grid), whose endpoint limits are derived in closed form.
     """
 
-    panels: int = 2048
-    levels: int = 2
+    panels: int = 64
     tolerance: float = 1e-10
     halfwidth: float = 10.0
 
@@ -131,8 +131,6 @@ class QuadratureSpec:
         _require_finite(self)
         if self.panels < 64:
             raise DomainError(f"panels must be >= 64, got {self.panels}")
-        if self.levels < 1:
-            raise DomainError("levels must be >= 1")
         if not self.tolerance > 0:
             raise DomainError("tolerance must be positive")
         if not self.halfwidth > 0:

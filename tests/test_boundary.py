@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -13,7 +14,9 @@ from lifshitz_fidelity import (
     DomainError,
     FitError,
     GridCoverageError,
+    LifshitzFidelityError,
     QuadratureSpec,
+    boundary,
     fidelity,
     gaussian_overlap,
     ground_state,
@@ -174,6 +177,40 @@ def test_overlap_quadrature_detects_truncated_tails():
         overlap_quadrature(BosonGasParams(), 0.5, QuadratureSpec(halfwidth=2.0))
 
 
+def test_overlap_grid_rows_are_c_ordered_linspace_rows():
+    # row sums of a strided grid (np.linspace with array endpoints) skip
+    # numpy's pairwise summation, so each row must be a contiguous linspace
+    p = BosonGasParams(q=1.3, H=0.7, beta=0.4)
+    _, _, _, _, grid_x = boundary._overlap_pairs(p, np.linspace(-7e-3, 7e-3, 8), 10.0)
+    for n in (257, 262145):
+        x = grid_x(n)
+        assert x.shape == (8, n) and x.flags.c_contiguous
+        for row in x:
+            want = np.linspace(row[0], row[-1], n)
+            assert np.array_equal(row.view(np.int64), want.view(np.int64))
+
+
+def test_overlap_deficit_matches_mpmath():
+    # 1 - f from the closed form at 30 digits, for the float widths the
+    # quadrature integrates; |dH|/H is log-uniform in [1e-5, 1e-2]
+    mpmath.mp.dps = 30
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(60):
+        q, H = rng.uniform(0.1, 10.0, 2)
+        beta_max = min(5.0, math.sqrt(100.0 * q * H / 4.0))
+        p = BosonGasParams(q=q, H=H, beta=rng.uniform(-beta_max, beta_max))
+        dH = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-5.0, -2.0, 4) * H
+        u = boundary._overlap_deficits(p, dH)
+        for ui, dHi in zip(u, dH):
+            a, b = mpmath.mpf(q * H), mpmath.mpf(q * (H + dHi))
+            xa, xb = mpmath.mpf(p.beta) / a, mpmath.mpf(p.beta) / b
+            f = (a * b) ** 0.25 * mpmath.sqrt(2 / (a + b)) * mpmath.exp(
+                -a * b * (xa - xb) ** 2 / (2 * (a + b)))
+            worst = max(worst, float(abs(ui - (1 - f)) / (1 - f)))
+    assert worst <= 1e-12
+
+
 # ---------- fidelity ----------
 
 def test_fidelity_trivial_and_squared_values():
@@ -250,6 +287,29 @@ def test_fit_out_of_float_range_raises_before_numpy_warns(H, capfd):
         with pytest.raises(FitError):
             xi_f_from_fit(BosonGasParams(H=H))
     assert capfd.readouterr().out == ""
+
+
+def test_fit_failures_on_the_wide_domain_are_named():
+    # 300 draws: q and H log-uniform in [1e-4, 1e4], N in [1, 1000], beta in
+    # [-5, 5]. Fits far outside the perturbative regime fail (140 draws), but
+    # only with a named error and without a numpy warning
+    rng = np.random.default_rng(0)
+    failures, worst = 0, 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(300):
+            q, H = 10.0 ** rng.uniform(-4.0, 4.0, 2)
+            N = int(round(10.0 ** rng.uniform(0.0, 3.0)))
+            p = BosonGasParams(N=N, q=q, H=H, beta=rng.uniform(-5.0, 5.0))
+            try:
+                fit = xi_f_from_fit(p)
+            except LifshitzFidelityError:
+                failures += 1
+                continue
+            exact = xi_f_analytic(p)
+            worst = max(worst, abs(fit.c_sq - exact) / exact)
+    assert failures <= 140
+    assert worst <= 1e-6
 
 
 # ---------- closed-form susceptibility ----------

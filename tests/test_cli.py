@@ -63,12 +63,13 @@ def test_sweep_concurrency_does_not_change_output(tmp_path, monkeypatch):
 
 
 def test_sweep_threads_follow_the_grid_size():
-    # finest grid 2*panels*2^(levels-1) + 1: 8193 points runs serially,
+    # first grid 4*panels + 1: up to 32769 points runs serially,
     # 65537 points on every usable core
-    assert cli._sweep_threads(QuadratureSpec(panels=2048, levels=2)) == 1
-    assert cli._sweep_threads(QuadratureSpec(panels=8192, levels=2)) == 1
-    assert cli._sweep_threads(QuadratureSpec(panels=16384, levels=2)) == cli._usable_cores()
-    assert cli._sweep_threads(QuadratureSpec(panels=4096, levels=5)) == cli._usable_cores()
+    assert cli._sweep_threads(QuadratureSpec()) == 1
+    assert cli._sweep_threads(QuadratureSpec(panels=2048)) == 1
+    assert cli._sweep_threads(QuadratureSpec(panels=8192)) == 1
+    assert cli._sweep_threads(QuadratureSpec(panels=16384)) == cli._usable_cores()
+    assert cli._sweep_threads(QuadratureSpec(panels=65536)) == cli._usable_cores()
 
 
 def test_sweep_roundtrip_from_echoed_config(tmp_path):
@@ -190,6 +191,8 @@ def test_numerical_failures_exit_2(tmp_path, capsys):
     ["bulk", "--L", "inf"],
     ["bulk", "--r_inf", "inf"],
     ["boundary", "--beta", "1e200"],  # DomainError: the overlap exponent overflows
+    ["boundary", "--q", "1e36", "--H", "1e-75", "--beta", "1e116"],  # FitError: no overlap left
+    ["boundary", "--H", "1e-78"],     # FitError: the dH^4 coefficient overflows
 ])
 def test_arithmetic_failures_exit_2_without_traceback(tmp_path, capsys, args):
     assert run(args + ["--out", str(tmp_path)]) == 2

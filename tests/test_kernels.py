@@ -1,8 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson as scipy_simpson
 
-from lifshitz_fidelity import BulkParams, QuadratureSpec, kernels, volume
+from lifshitz_fidelity import (
+    BosonGasParams,
+    BulkParams,
+    ConvergenceError,
+    QuadratureSpec,
+    boundary,
+    kernels,
+    volume,
+)
 
 
 def test_simpson_integrates_sine():
@@ -24,14 +34,16 @@ def test_refined_simpson_richardson_improves_estimate():
         x = np.linspace(0.0, 1.0, n)
         return x**6, x
 
-    value, err = kernels.refined_simpson(make, QuadratureSpec(panels=64, levels=2))
+    value, err = kernels.refined_simpson(make, QuadratureSpec(panels=64))
     assert value == pytest.approx(1.0 / 7.0, rel=1e-12)
     assert err >= 0.0
 
 
-@pytest.mark.parametrize("levels", [1, 2, 3])
-def test_refined_simpson_evaluates_one_grid(levels):
-    panels = 64
+@pytest.mark.parametrize("multiple", [1, 2, 3])
+def test_refined_simpson_evaluates_one_grid(multiple):
+    # an integrand that converges on the first grid, 4*panels + 1 points, is
+    # evaluated once: the coarse Simpson sum is its even subsample
+    panels = 64 * multiple
     calls = []
 
     def make(n):
@@ -39,9 +51,58 @@ def test_refined_simpson_evaluates_one_grid(levels):
         x = np.linspace(0.0, 1.0, n)
         return np.exp(x), x
 
-    value, _ = kernels.refined_simpson(make, QuadratureSpec(panels=panels, levels=levels))
-    assert calls == [2 * panels * 2 ** (levels - 1) + 1]
-    assert value == pytest.approx(np.e - 1.0, rel=1e-8)
+    value, err = kernels.refined_simpson(make, QuadratureSpec(panels=panels))
+    assert calls == [4 * panels + 1]
+    assert err <= 1e-10
+    assert value == pytest.approx(np.e - 1.0, rel=1e-12)
+
+
+def test_refined_simpson_doubles_until_every_row_converges():
+    calls = []
+
+    def make(n):  # a smooth row that converges on the first grid, and a narrow one
+        calls.append(n)
+        x = np.linspace(0.0, 1.0, n)
+        return np.stack([np.exp(x), np.exp(-(((x - 0.5) / 0.01) ** 2))]), np.stack([x, x])
+
+    spec = QuadratureSpec(panels=64)
+    value, err = kernels.refined_simpson(make, spec)
+    assert calls[0] == 4 * spec.panels + 1 and len(calls) > 1
+    assert calls[1:] == [2 * n - 1 for n in calls[:-1]]
+    assert np.all(err <= spec.tolerance)
+    assert value[0] == pytest.approx(np.e - 1.0, rel=1e-12)
+    assert abs(value[1] - 0.01 * math.sqrt(math.pi)) <= spec.tolerance
+
+
+def test_refined_simpson_stops_at_max_grid_points():
+    calls = []
+
+    def make(n):  # sqrt(x) converges as h^1.5, and no grid meets tolerance 1e-300
+        calls.append(n)
+        x = np.linspace(0.0, 1.0, n)
+        return np.sqrt(x), x
+
+    value, err = kernels.refined_simpson(make, QuadratureSpec(panels=64, tolerance=1e-300))
+    assert calls == [4 * 64 * 2**k + 1 for k in range(len(calls))]
+    assert calls[-1] <= kernels.MAX_GRID_POINTS < 2 * calls[-1] - 1
+    assert err > 0.0
+    assert value == pytest.approx(2.0 / 3.0, rel=1e-7)
+
+
+def test_radial_quadrature_reports_the_capped_estimate_as_stalled(monkeypatch):
+    # B = r^2 - 1 just above its zero at r = 1: the 1/sqrt(B) shoulder at the
+    # lower endpoint is too narrow for any grid to reach tolerance 1e-14
+    calls = []
+    refined_simpson = kernels.refined_simpson
+
+    def counted(make, spec):
+        return refined_simpson(lambda n: calls.append(n) or make(n), spec)
+
+    monkeypatch.setattr(kernels, "refined_simpson", counted)
+    with pytest.raises(ConvergenceError):
+        volume._integrate_r(-1.0, -1.0, 0.0, 1.0, 3.0, 1.0 + 1e-9, 10.0,
+                            QuadratureSpec(tolerance=1e-14))
+    assert calls[-1] == kernels.MAX_GRID_POINTS
 
 
 # ---------- in-place kernels keep the out-of-place results bit for bit ----------
@@ -152,3 +213,68 @@ def test_gaussian_product_matches_out_of_place_bits(npts, seed):
     got = kernels.gaussian_product(x, a, xa, b, xb)
     _assert_same_bits(x, before)
     _assert_same_bits(got, _ref_gaussian_product(x, a, xa, b, xb))
+
+
+def _fit_rows(seed, npts):
+    """A seeded boundary point's fit samples: (a, xa, b, xb, x) with one grid row per dH."""
+    rng = np.random.default_rng(seed)
+    q, H = rng.uniform(0.1, 10.0, 2)
+    beta_max = min(5.0, math.sqrt(100.0 * q * H / 4.0))
+    p = BosonGasParams(q=q, H=H, beta=rng.uniform(-beta_max, beta_max))
+    dH = np.sort(rng.uniform(-1e-2, 1e-2, 8)) * H
+    a, xa, b, xb, grid_x = boundary._overlap_pairs(p, dH, 10.0)
+    return a, xa, b, xb, grid_x(npts)
+
+
+def _ref_overlap_deficit(x, a, xa, d, k):
+    return np.exp((x - xa) ** 2 * -a) * np.expm1(x * x * (-0.5 * d) + k) ** 2
+
+
+@pytest.mark.parametrize("npts", GRID_SIZES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_overlap_deficit_matches_out_of_place_bits(npts, seed):
+    a, xa, b, xb, x = _fit_rows(seed, npts)
+    d = b - a
+    k = 0.25 * np.log1p(d / a) + 0.5 * d * (xa * xb)
+    x = x[0].copy()
+    before = x.copy()
+    got = kernels.overlap_deficit(x, a, xa, float(d[0, 0]), float(k[0, 0]))
+    _assert_same_bits(x, before)
+    _assert_same_bits(got, _ref_overlap_deficit(x, a, xa, float(d[0, 0]), float(k[0, 0])))
+
+
+# ---------- a batch of rows keeps each one-row call's bits ----------
+
+BATCH_SIZES = [257, 262145]
+
+
+@pytest.mark.parametrize("npts", BATCH_SIZES)
+@pytest.mark.parametrize("seed", SEEDS[:2])
+def test_gaussian_product_rows_match_one_row_calls(npts, seed):
+    a, xa, b, xb, x = _fit_rows(seed, npts)
+    got = kernels.gaussian_product(x, a, xa, b, xb)
+    for i, row in enumerate(x):
+        _assert_same_bits(got[i], kernels.gaussian_product(row.copy(), a, xa, b[i, 0], xb[i, 0]))
+
+
+@pytest.mark.parametrize("npts", BATCH_SIZES)
+@pytest.mark.parametrize("seed", SEEDS[:2])
+def test_overlap_deficit_rows_match_one_row_calls(npts, seed):
+    a, xa, b, xb, x = _fit_rows(seed, npts)
+    d = b - a
+    k = 0.25 * np.log1p(d / a) + 0.5 * d * (xa * xb)
+    got = kernels.overlap_deficit(x, a, xa, d, k)
+    for i, row in enumerate(x):
+        _assert_same_bits(got[i], kernels.overlap_deficit(row.copy(), a, xa, d[i, 0], k[i, 0]))
+
+
+@pytest.mark.parametrize("npts", BATCH_SIZES)
+@pytest.mark.parametrize("seed", SEEDS[:2])
+def test_simpson_rows_match_one_row_calls(npts, seed):
+    a, xa, b, xb, x = _fit_rows(seed, npts)
+    y = kernels.gaussian_product(x, a, xa, b, xb)
+    h = (x[:, -1] - x[:, 0]) / (npts - 1)
+    got = kernels.simpson(y, h)
+    assert got.shape == (len(x),)
+    for i in range(len(x)):
+        _assert_same_bits(got[i:i + 1], np.array([kernels.simpson(y[i].copy(), h[i])]))

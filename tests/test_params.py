@@ -50,7 +50,7 @@ def test_bulk_complexity_radius_defaults_to_curvature_scale():
 
 
 @pytest.mark.parametrize("kw", [
-    {"panels": 32}, {"tolerance": 0.0}, {"levels": 0},
+    {"panels": 32}, {"tolerance": 0.0}, {"halfwidth": 0.0},
     {"halfwidth": float("nan")}, {"tolerance": float("nan")}, {"halfwidth": -1.0},
     {"tolerance": math.inf}, {"halfwidth": math.inf},
 ])
