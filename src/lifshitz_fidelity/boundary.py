@@ -2,8 +2,8 @@
 
 The per-particle problem reduces to a shifted 1D harmonic oscillator, so the
 ground state is a Gaussian of width parameter q*H centered at beta/(q*H).
-The susceptibility comes out three ways: a closed form, a quadratic fit to
-quadrature overlap deficits, and a sinc-DVR eigenvalue oracle for the energy.
+The susceptibility comes out two ways, a closed form and a per-particle fit
+to quadrature overlap deficits; a sinc-DVR eigenvalue oracle checks the energy.
 Overlaps integrate the product of the two Gaussians, which keeps tiny
 overlaps to relative precision; the fit integrates the deficit
 (1/2) int (psi_H - psi_{H+dH})^2 dx instead, which keeps 1 - f ~ 1e-7 to
@@ -34,6 +34,8 @@ DVR_HALFWIDTH = 10.0
 
 #: Relative magnitude of the fit sample offsets, in units of H.
 FIT_SAMPLE_SCALES = (-4e-3, -3e-3, -2e-3, -1e-3, 1e-3, 2e-3, 3e-3, 4e-3)
+#: Powers of the scaled dH in the fit's design matrix; the first is the quadratic term.
+FIT_POWERS = np.arange(2, 7)
 
 
 @dataclass(frozen=True)
@@ -60,24 +62,14 @@ class GroundState1D:
 
 @dataclass(frozen=True)
 class FidelityFit:
-    """Second-order coefficients of the overlap amplitude and its square.
+    """The fitted susceptibility and the fit's quality.
 
-    c_sq is the reported susceptibility; c_amp is the amplitude-convention
-    coefficient and equals c_sq/2.
+    c_sq      the reported susceptibility, the dH^2 coefficient of 1 - F^2
+    residual  rms residual of the per-particle log-overlap fit
     """
 
-    c_amp: float
     c_sq: float
     residual: float
-    samples: tuple
-
-    def __post_init__(self):
-        if not self.c_amp > 0:
-            raise FitError(f"c_amp must be positive, got {self.c_amp}")
-        if abs(self.c_sq - 2.0 * self.c_amp) > 1e-6 * max(abs(self.c_sq), 1e-300):
-            raise FitError(
-                f"convention bridge violated: c_sq={self.c_sq}, 2*c_amp={2 * self.c_amp}"
-            )
 
 
 def ground_state(p: BosonGasParams) -> GroundState1D:
@@ -214,7 +206,8 @@ def _overlap_deficits(p: BosonGasParams, dH, grid: QuadratureSpec = OVERLAP_GRID
     ratio 1/4 log1p(d/a) - d (x^2 - xa xb)/2 and d = b - a exact, so the
     deficit keeps its relative precision where 1 - f would cancel. Raises
     GridCoverageError as overlap_quadrature does, and FitError where the
-    integrand is not finite or a deficit reaches 1 (no overlap left).
+    integrand is not finite or a deficit exceeds 1/2, past which 1 - u
+    loses more than one bit and the states are far from perturbative.
     """
     a, xa, b, xb, grid_x = _overlap_pairs(p, dH, grid.halfwidth)
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the finiteness check
@@ -231,8 +224,8 @@ def _overlap_deficits(p: BosonGasParams, dH, grid: QuadratureSpec = OVERLAP_GRID
 
         value, _ = kernels.refined_simpson(make, grid)
         u = 0.5 * math.sqrt(a / math.pi) * value
-    if not np.all(u < 1.0):
-        raise FitError(f"overlap deficit {u.max():.3g} >= 1: the states no longer overlap")
+    if not np.all(u <= 0.5):
+        raise FitError(f"overlap deficit {u.max():.3g} exceeds 1/2: not perturbative")
     return u
 
 
@@ -241,52 +234,53 @@ def xi_f_from_fit(
     dH_samples=None,
     grid: QuadratureSpec = OVERLAP_GRID,
 ) -> FidelityFit:
-    """Susceptibility from a quadratic fit to quadrature overlaps.
+    """Susceptibility from a least-squares fit to quadrature overlaps.
 
-    Fits F - 1 and F^2 - 1 against dH^2 with cubic and quartic nuisance
-    terms (the quartic tail of the exact overlap otherwise biases the
-    quadratic coefficient at the 1e-6 level), in one least-squares solve
-    with two right-hand sides. Both come from the per-particle deficits u
-    (_overlap_deficits) as expm1(N log1p(-u)) and expm1(2N log1p(-u)), which
-    hold their relative precision at every grid size. c_sq, from the squared
-    overlap, is the reported susceptibility.
+    The N-particle overlap is F = f^N, so the fit is per particle: it fits
+    log f = log1p(-u), with u the deficits of _overlap_deficits, against the
+    powers dH^2..dH^6 of the scaled abscissa dH / max|dH|, which can neither
+    underflow nor overflow. The powers above the quadratic absorb the series
+    tail, which otherwise biases the quadratic coefficient -c. N enters only
+    as the exact factor of c_sq = 2 N c, the dH^2 coefficient of 1 - F^2.
+    Raises FitError if c_sq is not a finite positive float or the residual
+    exceeds 1e-6 of the quadratic term.
     """
     if dH_samples is None:
         dH_samples = tuple(s * p.H for s in FIT_SAMPLE_SCALES)
     d = np.asarray(sorted(dH_samples), dtype=float)
-    if len(np.unique(d)) < 4:
-        raise DomainError("need at least 4 distinct dH samples")
+    if len(np.unique(d)) <= len(FIT_POWERS):
+        raise DomainError(f"need more than {len(FIT_POWERS)} distinct dH samples")
     if np.any(np.abs(d) / p.H > 1e-2):
         raise DomainError("fit samples must satisfy |dH|/H <= 1e-2")
 
     log_f = np.log1p(-_overlap_deficits(p, d, grid))
-    y = np.expm1(np.column_stack([p.N * log_f, 2 * p.N * log_f]))  # F - 1, F^2 - 1
-    # a column that underflows to 0 or overflows would reach LAPACK as NaN, and
-    # the coefficients divided by the column scales can overflow
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        design = np.column_stack([d**2, d**3, d**4])
-        scale = np.abs(design).max(axis=0)
-        design_s = design / scale
-        if not np.isfinite(design_s).all():
-            raise FitError("fit design matrix dH^2..dH^4 out of float range")
-        coef, *_ = np.linalg.lstsq(design_s, y, rcond=None)
-        coef /= scale[:, None]
-        if not np.isfinite(coef).all():
-            raise FitError("fit coefficients out of float range")
-        residual = float(np.sqrt(np.mean((design @ coef - y) ** 2, axis=0)).max())
-    c_amp, c_sq = -coef[0]
-
-    quad_term = abs(c_sq) * float(np.max(d**2))
-    if residual > 1e-6 * quad_term:
+    span = np.abs(d).max()
+    design = (d / span)[:, None] ** FIT_POWERS
+    coef, *_ = np.linalg.lstsq(design, log_f, rcond=None)
+    residual = float(np.sqrt(np.mean((design @ coef - log_f) ** 2)))
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        c_sq = 2 * p.N * (-coef[0] / span**2)  # span**2 may underflow to 0 or overflow
+    if not (np.isfinite(c_sq) and c_sq > 0):
+        raise FitError(f"fitted susceptibility {c_sq:.3g} is not a finite positive float")
+    if residual > 1e-6 * -coef[0]:
         raise FitError(
-            f"fit residual {residual:.3e} exceeds 1e-6 of quadratic term {quad_term:.3e}"
+            f"fit residual {residual:.3e} exceeds 1e-6 of quadratic term {-coef[0]:.3e}"
         )
-    return FidelityFit(c_amp=float(c_amp), c_sq=float(c_sq), residual=residual,
-                       samples=tuple(float(s) for s in d))
+    return FidelityFit(c_sq=float(c_sq), residual=residual)
 
 
 def xi_f_analytic(p: BosonGasParams) -> float:
-    """Closed-form susceptibility N (q H + 4 beta^2) / (8 q H^3)."""
-    if not p.H > 0:
-        raise DomainError(f"H must be positive, got {p.H}")
-    return p.N * (p.q * p.H + 4.0 * p.beta**2) / (8.0 * p.q * p.H**3)
+    """Closed-form susceptibility N (q H + 4 beta^2) / (8 q H^3).
+
+    Raises DomainError if it is not a positive finite float.
+    """
+    try:
+        value = p.N * (p.q * p.H + 4.0 * p.beta**2) / (8.0 * p.q * p.H**3)
+    except ArithmeticError:  # H**3 overflows, or 8 q H^3 underflows to 0
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise DomainError(
+            f"H={p.H} is out of range: N (qH + 4 beta^2)/(8 q H^3) at q={p.q}, "
+            f"beta={p.beta} is not a positive finite float"
+        )
+    return value

@@ -48,7 +48,7 @@ PARAM_KEYS = {BosonGasParams: BOUNDARY_KEYS, BulkParams: BULK_KEYS, QuadratureSp
 #: The keys each subcommand reads; every subcommand also reads "format".
 SUBCOMMAND_KEYS = {
     "boundary": BOUNDARY_KEYS + QUAD_KEYS,
-    "bulk": BULK_KEYS + QUAD_KEYS + RUN_KEYS,
+    "bulk": BULK_KEYS + ("panels", "tolerance") + RUN_KEYS,  # halfwidth sizes Gaussian grids only
     "match": BULK_KEYS,
     "sweep": BOUNDARY_KEYS + BULK_KEYS + QUAD_KEYS + RUN_KEYS + SWEEP_KEYS,
     "verify": (),
@@ -174,7 +174,7 @@ def _effective_config(subcommand: str, *sources) -> dict:
 
 
 def _params(cls, cfg):
-    return cls(**{k: cfg[k] for k in PARAM_KEYS[cls]})
+    return cls(**{k: cfg[k] for k in PARAM_KEYS[cls] if k in cfg})
 
 
 # ---------- output ----------
@@ -195,23 +195,9 @@ def _config_lines(cfg: dict) -> list:
     return [f"{k} = {_fmt_cfg(v)}" for k, v in sorted(cfg.items())]
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 def _write_json(path: Path, doc: dict):
     with open(path, "w", newline="\n") as fh:
-        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, default=lambda o: o.item())  # numpy scalars
         fh.write("\n")
 
 
@@ -252,7 +238,6 @@ def _run_boundary_point(cfg, spec):
     return {
         "xi_f_analytic": exact,
         "xi_f_fitted": fit.c_sq,
-        "c_amp": fit.c_amp,
         "fit_residual": fit.residual,
         "residual": abs(fit.c_sq - exact) / exact,
     }

@@ -78,29 +78,14 @@ def check_overlap_oracle_equivalence() -> CheckResult:
     return CheckResult("overlap-oracle-equivalence", worst <= 1e-10, f"max rel diff = {worst:.2e}")
 
 
-def check_susceptibility_linearity() -> CheckResult:
-    base = boundary.xi_f_from_fit(BosonGasParams(N=1, q=1.2, H=0.8, beta=0.5)).c_sq
+def check_fit_closed_form() -> CheckResult:
     worst = 0.0
-    for n in (2, 8):
-        c = boundary.xi_f_from_fit(BosonGasParams(N=n, q=1.2, H=0.8, beta=0.5)).c_sq
-        worst = max(worst, abs(c - n * base) / (n * base))
-    return CheckResult("susceptibility-linearity", worst <= 1e-6, f"max rel dev = {worst:.2e}")
-
-
-def check_fit_convention_bridge() -> CheckResult:
-    worst_half = 0.0
-    worst_analytic = 0.0
     for (q, H, beta) in ((1.0, 1.0, 0.0), (0.5, 2.0, 1.0), (2.0, 0.5, -1.5)):
         p = BosonGasParams(q=q, H=H, beta=beta)
-        fit = boundary.xi_f_from_fit(p)
-        worst_half = max(worst_half, abs(fit.c_sq - 2 * fit.c_amp) / fit.c_sq)
         exact = boundary.xi_f_analytic(p)
-        worst_analytic = max(worst_analytic, abs(fit.c_sq - exact) / exact)
-    ok = worst_half <= 1e-6 and worst_analytic <= 1e-5
-    return CheckResult(
-        "fit-convention-bridge", ok,
-        f"|c_sq - 2 c_amp|/c_sq <= {worst_half:.2e}, |c_sq - analytic|/analytic <= {worst_analytic:.2e}",
-    )
+        worst = max(worst, abs(boundary.xi_f_from_fit(p).c_sq - exact) / exact)
+    return CheckResult("fit-closed-form", worst <= 1e-10,
+                       f"|c_sq - analytic|/analytic <= {worst:.2e}")
 
 
 def check_k_independence() -> CheckResult:
@@ -265,8 +250,7 @@ def check_flag_determinism() -> CheckResult:
 ALL_CHECKS = (
     check_boundary_normalization,
     check_overlap_oracle_equivalence,
-    check_susceptibility_linearity,
-    check_fit_convention_bridge,
+    check_fit_closed_form,
     check_k_independence,
     check_beta_energy_cancellation,
     check_horizon_root,

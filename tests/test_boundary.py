@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -237,7 +238,6 @@ def test_fidelity_decreases_away_from_zero():
 def test_fit_reproduces_closed_form_coefficients():
     fit = xi_f_from_fit(BosonGasParams())
     assert abs(fit.c_sq - 0.125) < 1e-6
-    assert abs(fit.c_amp - 0.0625) < 1e-6
 
 
 def test_fit_scales_linearly_with_particle_number():
@@ -247,13 +247,24 @@ def test_fit_scales_linearly_with_particle_number():
     assert abs(fit8.c_sq - 8 * fit1.c_sq) < 1e-8 * fit8.c_sq
 
 
-def test_fit_convention_bridge():
+def test_fit_matches_closed_form():
     for kw in (dict(), dict(q=0.5, H=2.0, beta=1.0), dict(q=2.0, H=0.5, beta=-1.5)):
         p = BosonGasParams(**kw)
-        fit = xi_f_from_fit(p)
-        assert abs(fit.c_sq - 2 * fit.c_amp) <= 1e-6 * fit.c_sq
         exact = xi_f_analytic(p)
-        assert abs(fit.c_sq - exact) <= 1e-5 * exact
+        assert abs(xi_f_from_fit(p).c_sq - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("kw", [
+    dict(N=1000, beta=2.0),
+    dict(N=300, q=0.3, H=0.5, beta=1.0),
+    dict(N=1000, q=1e-3, H=1e3, beta=-5.0),
+])
+def test_fit_is_exact_in_particle_number(kw):
+    # N is an exact factor of c_sq: the many-body fit is N times the N = 1 fit
+    fit = xi_f_from_fit(BosonGasParams(**kw))
+    one = xi_f_from_fit(BosonGasParams(**dict(kw, N=1)))
+    assert fit.c_sq == kw["N"] * one.c_sq
+    assert fit.residual == one.residual
 
 
 def test_fit_independent_of_longitudinal_momentum():
@@ -274,14 +285,16 @@ def test_fit_sample_preconditions():
     p = BosonGasParams()
     with pytest.raises(DomainError):
         xi_f_from_fit(p, dH_samples=(1e-3, 2e-3, 3e-3))
+    with pytest.raises(DomainError):  # five coefficients leave no residual
+        xi_f_from_fit(p, dH_samples=(1e-3, 2e-3, 3e-3, 4e-3, 5e-3))
     with pytest.raises(DomainError):
         xi_f_from_fit(p, dH_samples=(1e-3, 2e-3, 3e-3, 5e-2))
 
 
 @pytest.mark.parametrize("H", [1e-300, 1e307])
 def test_fit_out_of_float_range_raises_before_numpy_warns(H, capfd):
-    # dH is proportional to H, so the dH^2..dH^4 design columns underflow to 0
-    # (1e-300) or overflow (1e307); NaN input would make LAPACK print to stdout
+    # dH is proportional to H, so max|dH|^2 underflows to 0 (1e-300) or
+    # overflows (1e307) and the dH^2 coefficient is not a finite positive float
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FitError):
@@ -291,7 +304,8 @@ def test_fit_out_of_float_range_raises_before_numpy_warns(H, capfd):
 
 def test_fit_failures_on_the_wide_domain_are_named():
     # 300 draws: q and H log-uniform in [1e-4, 1e4], N in [1, 1000], beta in
-    # [-5, 5]. Fits far outside the perturbative regime fail (140 draws), but
+    # [-5, 5]. Fits far outside the perturbative regime, where the per-particle
+    # deficit exceeds 1/2 (24 draws, all with 4 beta^2/(qH) > 8e5), fail, but
     # only with a named error and without a numpy warning
     rng = np.random.default_rng(0)
     failures, worst = 0, 0.0
@@ -308,8 +322,8 @@ def test_fit_failures_on_the_wide_domain_are_named():
                 continue
             exact = xi_f_analytic(p)
             worst = max(worst, abs(fit.c_sq - exact) / exact)
-    assert failures <= 140
-    assert worst <= 1e-6
+    assert failures <= 24
+    assert worst <= 1e-12
 
 
 # ---------- closed-form susceptibility ----------
@@ -321,6 +335,14 @@ def test_fit_failures_on_the_wide_domain_are_named():
 ])
 def test_xi_f_analytic_values(kw, expected):
     assert xi_f_analytic(BosonGasParams(**kw)) == expected
+
+
+@pytest.mark.parametrize("H,beta", [(1e150, 0.0), (1e-150, 0.0), (1e-105, 5.0)])
+def test_xi_f_analytic_out_of_float_range_names_h(H, beta):
+    # H^3 overflows (1e150), 8 q H^3 underflows to 0 (1e-150), or the
+    # quotient overflows to inf (1e-105)
+    with pytest.raises(DomainError, match=re.escape(f"H={H!r} is out of range")):
+        xi_f_analytic(BosonGasParams(H=H, beta=beta))
 
 
 def test_package_import_leaves_scipy_unloaded(tmp_path):
