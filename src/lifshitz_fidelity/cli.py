@@ -6,8 +6,9 @@
 Subcommands: boundary, bulk, match, sweep, verify. Every setting is a key,
 given as a --key value (or --key=value) flag or as a line of a flat
 key = value --config file; flags win over the file. SUBCOMMAND_KEYS lists the
-keys each subcommand reads (all of them also read format, csv or json); any
-other key is a configuration error. Defaults come from the parameter classes
+keys each subcommand reads (all of them also read format, csv or json); a
+sweep also reads the keys of its axis's side, boundary or bulk. Any other key
+is a configuration error. Defaults come from the parameter classes
 (BosonGasParams, BulkParams, QuadratureSpec). --log is shorthand for
 --spacing log. Every artifact echoes the effective configuration in its
 header, so re-running from the echoed block reproduces the artifact byte for
@@ -45,12 +46,13 @@ RUN_KEYS = ("r_inf",)
 #: The keys of each parameter class; their defaults are the CLI's defaults.
 PARAM_KEYS = {BosonGasParams: BOUNDARY_KEYS, BulkParams: BULK_KEYS, QuadratureSpec: QUAD_KEYS}
 
-#: The keys each subcommand reads; every subcommand also reads "format".
+#: The keys each subcommand reads; every subcommand also reads "format", and a
+#: sweep also reads the keys of its side, "boundary" or "bulk" (_sweep_side).
 SUBCOMMAND_KEYS = {
     "boundary": BOUNDARY_KEYS + QUAD_KEYS,
     "bulk": BULK_KEYS + ("panels", "tolerance") + RUN_KEYS,  # halfwidth sizes Gaussian grids only
     "match": BULK_KEYS,
-    "sweep": BOUNDARY_KEYS + BULK_KEYS + QUAD_KEYS + RUN_KEYS + SWEEP_KEYS,
+    "sweep": SWEEP_KEYS,
     "verify": (),
 }
 
@@ -111,7 +113,7 @@ def _canonical_key(raw: str) -> str:
 
 def _coerce(key: str, raw: str):
     if key in STR_KEYS:
-        return raw
+        return _canonical_key(raw) if key == "axis" else raw  # an axis names a key
     try:
         if key in INT_KEYS:
             return int(raw)
@@ -153,11 +155,24 @@ def _parse_extras(tokens) -> dict:
     return out
 
 
+def _sweep_side(axis: str) -> str:
+    """The run a sweep repeats over its axis, "boundary" or "bulk"."""
+    return "boundary" if axis in BOUNDARY_KEYS else "bulk"
+
+
 def _effective_config(subcommand: str, *sources) -> dict:
     """Defaults from the parameter classes and CHOICES, then each source in
-    turn (later sources win). r_inf, axis, from, to and points have no
-    default; they enter the configuration only when given."""
+    turn (later sources win). r_inf, from, to and points have no default;
+    they enter the configuration only when given. A sweep's axis (the last
+    one given) is checked first: its side decides which keys the sweep reads."""
     keys = SUBCOMMAND_KEYS[subcommand] + ("format",)
+    if subcommand == "sweep":
+        axis = next((s["axis"] for s in reversed(sources) if "axis" in s), None)
+        if axis is None:
+            raise _UsageError("sweep requires 'axis'")
+        if _canonical_key(axis) not in SWEEPABLE:
+            raise _UsageError(f"cannot sweep {axis!r}; valid axes: {sorted(SWEEPABLE)}")
+        keys += SUBCOMMAND_KEYS[_sweep_side(_canonical_key(axis))]
     cfg = {key: CHOICES[key][0] for key in keys if key in CHOICES}
     for cls, owned in PARAM_KEYS.items():
         defaults = cls()
@@ -240,7 +255,7 @@ def _run_boundary_point(cfg, spec):
         "xi_f_fitted": fit.c_sq,
         "fit_residual": fit.residual,
         "residual": abs(fit.c_sq - exact) / exact,
-    }
+    }, ()
 
 
 def _series_finite(p):
@@ -262,10 +277,10 @@ def _run_bulk_point(cfg, spec):
         "v_series": v_series.value,
         "v_series_finite": finite,
         "xi_f_holo": xi_holo,
-    }
+    }, ()
 
 
-def _run_match_point(cfg):
+def _run_match_point(cfg, spec):
     p = _params(BulkParams, cfg)
     report = _call("verify_duality", duality.verify_duality, p)
     results = {
@@ -278,25 +293,20 @@ def _run_match_point(cfg):
     return results, report.flags
 
 
-def _cmd_boundary(cfg, outdir):
-    results = _run_boundary_point(cfg, _params(QuadratureSpec, cfg))
-    _emit(outdir, "boundary", cfg, results)
-    return 0
+#: The single-point runs, each (cfg, spec) -> (results, flags).
+RUNNERS = {"boundary": _run_boundary_point, "bulk": _run_bulk_point, "match": _run_match_point}
 
 
-def _cmd_bulk(cfg, outdir):
-    results = _run_bulk_point(cfg, _params(QuadratureSpec, cfg))
-    _emit(outdir, "bulk", cfg, results)
-    return 0
-
-
-def _cmd_match(cfg, outdir):
-    results, flags = _run_match_point(cfg)
-    _emit(outdir, "match", cfg, results, flags=flags)
+def _cmd_point(subcommand, cfg, outdir):
+    results, flags = RUNNERS[subcommand](cfg, _params(QuadratureSpec, cfg))
+    _emit(outdir, subcommand, cfg, results, flags=flags)
     return 0
 
 
 def _sweep_values(cfg):
+    for key in ("from", "to", "points"):
+        if key not in cfg:
+            raise _UsageError(f"sweep requires {key!r}")
     lo, hi, n = cfg["from"], cfg["to"], cfg["points"]
     if n < 2:
         raise _UsageError("sweep needs points >= 2")
@@ -322,33 +332,24 @@ def _sweep_threads(spec) -> int:
 
 
 def _cmd_sweep(cfg, outdir):
-    for key in ("axis", "from", "to", "points"):
-        if key not in cfg:
-            raise _UsageError(f"sweep requires {key!r}")
-    axis = _canonical_key(cfg["axis"])
-    if axis not in SWEEPABLE:
-        raise _UsageError(f"cannot sweep {cfg['axis']!r}; valid axes: {sorted(SWEEPABLE)}")
-    cfg["axis"] = axis
+    axis = cfg["axis"]
+    side = _sweep_side(axis)
     values = _sweep_values(cfg)
     spec = _params(QuadratureSpec, cfg)
-    is_boundary = axis in BOUNDARY_KEYS
 
     def eval_point(value):
-        point_cfg = dict(cfg)
-        point_cfg[axis] = float(value)
+        point_cfg = {**cfg, axis: float(value)}
         where = f"at {axis}={point_cfg[axis]!r}"
         try:
-            if is_boundary:
-                return _run_boundary_point(point_cfg, spec)
-            results = _run_bulk_point(point_cfg, spec)
-            match_results, _ = _run_match_point(point_cfg)
+            results, _ = RUNNERS[side](point_cfg, spec)
+            if side == "bulk":  # a bulk row also checks the dictionary
+                m, _ = _run_match_point(point_cfg, spec)
+                results.update(matched_N=m["matched_N"], duality_residual=m["residual"],
+                               matched_beta2_over_q=m["matched_beta2_over_q"])
         except _NumericalFailure as exc:
             raise _NumericalFailure(f"{exc.op} {where}", exc.cause) from exc
         except NUMERICAL_ERRORS as exc:
             raise _NumericalFailure(f"sweep {where}", exc) from exc
-        results["matched_N"] = match_results["matched_N"]
-        results["matched_beta2_over_q"] = match_results["matched_beta2_over_q"]
-        results["duality_residual"] = match_results["residual"]
         return results
 
     threads = _sweep_threads(spec)
@@ -407,15 +408,11 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        if ns.subcommand == "boundary":
-            return _cmd_boundary(cfg, outdir)
-        if ns.subcommand == "bulk":
-            return _cmd_bulk(cfg, outdir)
-        if ns.subcommand == "match":
-            return _cmd_match(cfg, outdir)
         if ns.subcommand == "sweep":
             return _cmd_sweep(cfg, outdir)
-        return _cmd_verify(cfg, outdir)
+        if ns.subcommand == "verify":
+            return _cmd_verify(cfg, outdir)
+        return _cmd_point(ns.subcommand, cfg, outdir)
     except (_UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lifshitz_fidelity import QuadratureSpec, cli, geometry
 from lifshitz_fidelity.cli import main
@@ -9,6 +11,21 @@ from lifshitz_fidelity.cli import main
 
 def run(args):
     return main(list(args))
+
+
+#: Every key a sweep could be given besides its axis, and a raw value each parses from.
+SETTABLE = ("N", "q", "m", "H", "beta", "k", "L", "xi", "Qt", "V0", "rp", "G", "panels",
+            "tolerance", "halfwidth", "r_inf", "from", "to", "points", "spacing", "format")
+RAW = {"N": "2", "points": "3", "panels": "128", "spacing": "log", "format": "csv"}
+AXES = sorted(cli.SWEEPABLE)
+SPELLINGS = {**{a: a for a in AXES}, "β": "beta", "ξ": "xi", "Q̃": "Qt", "r₊": "rp"}
+
+
+def _other_side(axis):
+    """The keys a sweep over axis rejects: those only the other side reads."""
+    if axis in ("q", "m", "H", "beta", "k"):
+        return {"L", "xi", "Qt", "V0", "rp", "G", "r_inf"}
+    return {"N", "q", "m", "H", "beta", "k", "halfwidth"}
 
 
 def test_boundary_run_reports_closed_form(tmp_path):
@@ -72,12 +89,16 @@ def test_sweep_threads_follow_the_grid_size():
     assert cli._sweep_threads(QuadratureSpec(panels=65536)) == cli._usable_cores()
 
 
-def test_sweep_roundtrip_from_echoed_config(tmp_path):
+@pytest.mark.parametrize("axis, extra", [("Qt", ["--r_inf", "150"]), ("H", [])],
+                         ids=["Qt", "H"])
+def test_sweep_roundtrip_from_echoed_config(tmp_path, axis, extra):
     out1 = tmp_path / "first"
-    assert run(["sweep", "--axis", "Qt", "--from", "1", "--to", "4",
-                "--points", "4", "--log", "--out", str(out1)]) == 0
+    assert run(["sweep", "--axis", axis, "--from", "1", "--to", "4",
+                "--points", "4", "--log", *extra, "--out", str(out1)]) == 0
     echoed = [ln[2:] for ln in (out1 / "sweep.csv").read_text().splitlines()
               if ln.startswith("# ")]
+    expected = set(SETTABLE) - _other_side(axis) | {"axis"}
+    assert sorted(ln.split(" = ")[0] for ln in echoed) == sorted(expected)
     cfg_file = tmp_path / "replay.cfg"
     cfg_file.write_text("\n".join(echoed) + "\n")
     out2 = tmp_path / "second"
@@ -160,6 +181,12 @@ def test_unicode_and_alias_keys(tmp_path):
     ["sweep", "--axis", "z", "--from", "3.9", "--to", "4.1", "--points", "3"],
     ["sweep", "--axis", "H", "--from", "1", "--to", "inf", "--points", "3"],
     ["bulk", "--halfwidth", "3"],             # sizes only the Gaussian grids of boundary fits
+    # a sweep takes only the keys of its axis's side
+    ["sweep", "--axis", "H", "--from", "1", "--to", "2", "--points", "3", "--rp", "2"],
+    ["sweep", "--axis", "H", "--from", "1", "--to", "2", "--points", "3", "--r_inf", "50"],
+    ["sweep", "--axis", "Qt", "--from", "1", "--to", "2", "--points", "3", "--halfwidth", "3"],
+    ["sweep", "--axis", "Qt", "--from", "1", "--to", "2", "--points", "3", "--N", "3"],
+    ["sweep", "--from", "1", "--to", "2", "--points", "3"],  # missing axis
 ])
 def test_validation_failures_exit_1(tmp_path, capsys, args):
     (tmp_path / "file").write_text("")
@@ -172,6 +199,34 @@ def test_validation_failures_exit_1(tmp_path, capsys, args):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_sweep_rejects_every_key_of_the_other_side():
+    for axis in AXES:
+        for key in SETTABLE:
+            source = {"axis": axis, key: RAW.get(key, "1.5")}
+            if key not in _other_side(axis):
+                assert cli._effective_config("sweep", source)["axis"] == axis
+            else:
+                with pytest.raises(cli._UsageError, match=f"key '{key}' is not used"):
+                    cli._effective_config("sweep", source)
+
+
+@given(axis=st.sampled_from(sorted(SPELLINGS)), shadowed=st.sampled_from(AXES),
+       keys=st.lists(st.sampled_from(SETTABLE), unique=True),
+       split=st.integers(min_value=0, max_value=len(SETTABLE)))
+def test_sweep_config_accepts_exactly_its_sides_keys(axis, shadowed, keys, split):
+    # the flags' axis, in any spelling, beats the file's and alone decides the
+    # keys the sweep takes
+    canonical = SPELLINGS[axis]
+    file_cfg = {"axis": shadowed, **{k: RAW.get(k, "1.5") for k in keys[:split]}}
+    flag_cfg = {"axis": axis, **{k: RAW.get(k, "1.5") for k in keys[split:]}}
+    if not _other_side(canonical) & set(keys):
+        cfg = cli._effective_config("sweep", file_cfg, flag_cfg)
+        assert cfg["axis"] == canonical and not _other_side(canonical) & set(cfg)
+    else:
+        with pytest.raises(cli._UsageError, match="is not used by subcommand 'sweep'"):
+            cli._effective_config("sweep", file_cfg, flag_cfg)
+
+
 def test_numerical_failures_exit_2(tmp_path, capsys):
     # positive coupling breaks the dictionary
     assert run(["match", "--xi", "1.0", "--out", str(tmp_path)]) == 2
@@ -182,7 +237,7 @@ def test_numerical_failures_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["boundary", "--H", "1e-300"],    # FitError: the fit's design matrix underflows
+    ["boundary", "--H", "1e-300"],    # FitError: the fitted susceptibility is inf (c_sq guard)
     ["bulk", "--rp", "1e200"],        # OverflowError
     ["bulk", "--Qt", "1e-200"],       # ZeroDivisionError in a named operation
     ["match", "--xi", "-1e-320"],
