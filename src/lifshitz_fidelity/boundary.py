@@ -2,7 +2,7 @@
 
 The per-particle problem reduces to a shifted 1D harmonic oscillator, so the
 ground state is a Gaussian of width parameter q*H centered at beta/(q*H).
-The susceptibility comes out two ways, a closed form and a per-particle fit
+The susceptibility comes out two ways, a closed form and a fixed linear fit
 to quadrature overlap deficits; a sinc-DVR eigenvalue oracle checks the energy.
 Overlaps integrate the product of the two Gaussians, which keeps tiny
 overlaps to relative precision; the fit integrates the deficit
@@ -32,10 +32,12 @@ OVERLAP_GRID = QuadratureSpec()
 DVR_POINTS = 51
 DVR_HALFWIDTH = 10.0
 
-#: Relative magnitude of the fit sample offsets, in units of H.
-FIT_SAMPLE_SCALES = (-4e-3, -3e-3, -2e-3, -1e-3, 1e-3, 2e-3, 3e-3, 4e-3)
-#: Powers of the scaled dH in the fit's design matrix; the first is the quadratic term.
-FIT_POWERS = np.arange(2, 7)
+#: The fit's sample offsets dH / H, sorted, so the largest |dH| is the last.
+FIT_SAMPLE_SCALES = np.array([-4e-3, -3e-3, -2e-3, -1e-3, 1e-3, 2e-3, 3e-3, 4e-3])
+#: The fit's design matrix, the same at every H: the powers 2..6 of dH / max|dH|.
+FIT_DESIGN = (FIT_SAMPLE_SCALES / np.abs(FIT_SAMPLE_SCALES).max())[:, None] ** np.arange(2, 7)
+#: The fit's least-squares operator, built once: coefficients = FIT_SOLVE @ log f.
+FIT_SOLVE = np.linalg.pinv(FIT_DESIGN)
 
 
 @dataclass(frozen=True)
@@ -202,9 +204,11 @@ def _overlap_deficits(p: BosonGasParams, dH, grid: QuadratureSpec = OVERLAP_GRID
     """Per-particle deficits 1 - f = (1/2) int (psi_H - psi_{H+dH})^2 dx, one per dH.
 
     All samples share one (samples x grid) quadrature. The squared difference
-    is formed as psi_H^2 expm1(log psi_{H+dH} - log psi_H)^2, with the log
-    ratio 1/4 log1p(d/a) - d (x^2 - xa xb)/2 and d = b - a exact, so the
-    deficit keeps its relative precision where 1 - f would cancel. Raises
+    is formed as psi_H^2 expm1(r)^2, with the log ratio r = log psi_{H+dH} -
+    log psi_H = 1/4 log1p(d/a) - d (x^2 - xa xb)/2 and d = b - a exact, so
+    the deficit keeps its relative precision where 1 - f would cancel. Far
+    out on a wide grid expm1(r)^2 overflows where psi_H^2 underflows; there
+    the integrand is taken as exp(2 r - a (x - xa)^2). Raises
     GridCoverageError as overlap_quadrature does, and FitError where the
     integrand is not finite or a deficit exceeds 1/2, past which 1 - u
     loses more than one bit and the states are far from perturbative.
@@ -217,8 +221,11 @@ def _overlap_deficits(p: BosonGasParams, dH, grid: QuadratureSpec = OVERLAP_GRID
         def make(npts):
             x = grid_x(npts)
             y = kernels.overlap_deficit(x, a, xa, d, k)
-            if not np.isfinite(y).all():
-                raise FitError("overlap deficit is not finite: the states no longer overlap")
+            tail = ~np.isfinite(y)
+            if tail.any():
+                y[tail] = np.exp(2.0 * (k - 0.5 * d * (x * x)) - a * (x - xa) ** 2)[tail]
+                if not np.isfinite(y).all():
+                    raise FitError("overlap deficit is not finite: the states no longer overlap")
             _check_edges(y, grid.tolerance)
             return y, x
 
@@ -229,37 +236,25 @@ def _overlap_deficits(p: BosonGasParams, dH, grid: QuadratureSpec = OVERLAP_GRID
     return u
 
 
-def xi_f_from_fit(
-    p: BosonGasParams,
-    dH_samples=None,
-    grid: QuadratureSpec = OVERLAP_GRID,
-) -> FidelityFit:
+def xi_f_from_fit(p: BosonGasParams, grid: QuadratureSpec = OVERLAP_GRID) -> FidelityFit:
     """Susceptibility from a least-squares fit to quadrature overlaps.
 
     The N-particle overlap is F = f^N, so the fit is per particle: it fits
-    log f = log1p(-u), with u the deficits of _overlap_deficits, against the
-    powers dH^2..dH^6 of the scaled abscissa dH / max|dH|, which can neither
-    underflow nor overflow. The powers above the quadratic absorb the series
-    tail, which otherwise biases the quadratic coefficient -c. N enters only
-    as the exact factor of c_sq = 2 N c, the dH^2 coefficient of 1 - F^2.
-    Raises FitError if c_sq is not a finite positive float or the residual
-    exceeds 1e-6 of the quadratic term.
+    log f = log1p(-u), with u the deficits of _overlap_deficits at
+    dH = FIT_SAMPLE_SCALES * H, against the powers 2..6 of dH / max|dH|. That
+    design neither under- nor overflows and is the same at every H, so the
+    fit is the fixed operator FIT_SOLVE. The powers above the quadratic
+    absorb the series tail, which otherwise biases the quadratic coefficient
+    -c. N enters only as the exact factor of c_sq = 2 N c, the dH^2
+    coefficient of 1 - F^2. Raises FitError if c_sq is not a finite positive
+    float or the residual exceeds 1e-6 of the quadratic term.
     """
-    if dH_samples is None:
-        dH_samples = tuple(s * p.H for s in FIT_SAMPLE_SCALES)
-    d = np.asarray(sorted(dH_samples), dtype=float)
-    if len(np.unique(d)) <= len(FIT_POWERS):
-        raise DomainError(f"need more than {len(FIT_POWERS)} distinct dH samples")
-    if np.any(np.abs(d) / p.H > 1e-2):
-        raise DomainError("fit samples must satisfy |dH|/H <= 1e-2")
-
-    log_f = np.log1p(-_overlap_deficits(p, d, grid))
-    span = np.abs(d).max()
-    design = (d / span)[:, None] ** FIT_POWERS
-    coef, *_ = np.linalg.lstsq(design, log_f, rcond=None)
-    residual = float(np.sqrt(np.mean((design @ coef - log_f) ** 2)))
+    dH = FIT_SAMPLE_SCALES * p.H
+    log_f = np.log1p(-_overlap_deficits(p, dH, grid))
+    coef = FIT_SOLVE @ log_f
+    residual = float(np.sqrt(np.mean((FIT_DESIGN @ coef - log_f) ** 2)))
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        c_sq = 2 * p.N * (-coef[0] / span**2)  # span**2 may underflow to 0 or overflow
+        c_sq = 2 * p.N * (-coef[0] / dH[-1] ** 2)  # a numpy float: may underflow to 0 or overflow
     if not (np.isfinite(c_sq) and c_sq > 0):
         raise FitError(f"fitted susceptibility {c_sq:.3g} is not a finite positive float")
     if residual > 1e-6 * -coef[0]:

@@ -248,7 +248,7 @@ def _emit(outdir: Path, name: str, cfg: dict, results: dict, flags=(), invariant
 
 def _run_boundary_point(cfg, spec):
     p = _params(BosonGasParams, cfg)
-    fit = _call("xi_f_from_fit", boundary.xi_f_from_fit, p, None, spec)
+    fit = _call("xi_f_from_fit", boundary.xi_f_from_fit, p, spec)
     exact = _call("xi_f_analytic", boundary.xi_f_analytic, p)
     return {
         "xi_f_analytic": exact,

@@ -98,7 +98,8 @@ def overlap_deficit(x, a, xa, d, k):
     # exp(-a (x - xa)^2) expm1(k - d x^2 / 2)^2 is (psi_a - psi_b)^2 over the
     # normalization of psi_a^2 when k - d x^2 / 2 = log(psi_b / psi_a) for the
     # Gaussians of widths a and b = a + d. expm1 keeps the difference to full
-    # relative precision where psi_a - psi_b would cancel.
+    # relative precision where psi_a - psi_b would cancel; its square
+    # overflows far out on a wide grid, where the caller replaces it.
     y = x - xa
     y **= 2
     y *= -a
@@ -130,7 +131,7 @@ def refined_simpson(make_grid, spec):
     order). The first call is on 4*panels + 1 points; each step sums Simpson
     on that grid and on its even subsample and extrapolates. The grid then
     doubles (2n - 1 points) until every row's estimate is within
-    tolerance * max(1, |value|), or until the next grid would exceed
+    tolerance * |value|, even a 1e-7 one, or until the next grid would exceed
     MAX_GRID_POINTS; the last step's (value, error_estimate) is returned
     either way, so the caller decides whether it converged. Values are floats
     for a 1-D grid and arrays (one per row) otherwise. The error estimate is
@@ -146,7 +147,7 @@ def refined_simpson(make_grid, spec):
         fine = simpson(y, h)
         err = abs(fine - coarse) / 15.0
         value = fine + (fine - coarse) / 15.0
-        if np.all(err <= spec.tolerance * np.maximum(1.0, abs(value))) or 2 * n - 1 > MAX_GRID_POINTS:
+        if np.all(err <= spec.tolerance * abs(value)) or 2 * n - 1 > MAX_GRID_POINTS:
             break
         n = 2 * n - 1
     if y.ndim == 1:

@@ -12,7 +12,9 @@ closed form
 
 Complexity is V/(8 pi R G); the divergent eps^-2 (equivalently r_inf^2)
 piece is removed by subtracting the horizonless background at matched
-r_inf, which also cancels the subleading log when V0 != 0.
+r_inf, which also cancels the subleading log when V0 != 0. The subtraction
+sweep and the fit of the eps^-2 coefficient run on fixed cutoffs, and that
+fit is one fixed row of its least-squares operator.
 """
 from __future__ import annotations
 
@@ -40,8 +42,17 @@ W_SPLIT = 0.5
 #: Relative threshold deciding whether an endpoint value of B is a zero.
 ENDPOINT_ZERO_TOL = 1e-11
 
-#: Default cutoff grid for divergence-coefficient fits.
+#: Cutoffs of the divergence-coefficient fit, and the eps^-2 row of its
+#: least-squares operator over {eps^-2, log eps, 1, eps^2, eps^3}, built once
+#: with unit-max columns: the fitted coefficient is DIVERGENCE_ROW @ volumes.
 DIVERGENCE_FIT_EPS = (0.04, 0.028, 0.02, 0.014, 0.01, 0.007, 0.005)
+_eps = np.array(DIVERGENCE_FIT_EPS)
+_basis = np.column_stack([_eps**-2, np.log(_eps), np.ones_like(_eps), _eps**2, _eps**3])
+_scale = np.abs(_basis).max(axis=0)
+DIVERGENCE_ROW = np.linalg.pinv(_basis / _scale)[0] / _scale[0]
+
+#: IR cutoffs r_inf / rp of the background subtraction, increasing.
+SUBTRACTION_FACTORS = (50.0, 100.0, 200.0, 400.0)
 
 
 @dataclass(frozen=True)
@@ -131,7 +142,7 @@ def _integrate_r(cv, cm, hcoef, rp, zexp, lo, hi, spec):
         return y, s
 
     value, err = kernels.refined_simpson(make, spec)
-    if err > spec.tolerance * max(1.0, abs(value)):
+    if err > spec.tolerance * abs(value):
         raise ConvergenceError(f"radial quadrature stalled: error estimate {err:.3e}")
     return value, err
 
@@ -181,7 +192,7 @@ def _integrate_w(cvterm, bcoef, bm2, zexp, eps, spec):
         value += v_log
         err += e_log
 
-    if err > spec.tolerance * max(1.0, abs(value)):
+    if err > spec.tolerance * abs(value):
         raise ConvergenceError(f"w-coordinate quadrature stalled: error estimate {err:.3e}")
     return value, err
 
@@ -351,12 +362,8 @@ def xi_f_holo_z4(p: BulkParams) -> float:
     )
 
 
-def subtracted_susceptibility(
-    p: BulkParams,
-    factors=(50.0, 100.0, 200.0, 400.0),
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> RegularizationSweep:
-    """Background-subtracted complexity over r_inf = factor * rp cutoffs.
+def subtracted_susceptibility(p: BulkParams, spec: QuadratureSpec = DEFAULT_SPEC) -> RegularizationSweep:
+    """Background-subtracted complexity at r_inf = SUBTRACTION_FACTORS * rp.
 
     The sequence is Cauchy (corrections decay like r_inf^-(1+z/2)); the
     limit comes from Aitken extrapolation of the last three values. The
@@ -364,12 +371,8 @@ def subtracted_susceptibility(
     asserted: the geometric subtraction also removes the background's own
     finite piece, which the truncated closed form retains.
     """
-    if len(factors) < 2 or any(f <= 1 for f in factors):
-        raise DomainError("need >= 2 cutoff factors, all > 1")
-    if sorted(factors) != list(factors):
-        raise DomainError("cutoff factors must increase")
     values = []
-    cutoffs = tuple(f * p.rp for f in factors)
+    cutoffs = tuple(f * p.rp for f in SUBTRACTION_FACTORS)
     for r_inf in cutoffs:
         f_d = complexity(volume_exact(p, r_inf, spec), p)
         f_b = complexity(background_volume(p, r_inf, spec), p)
@@ -377,7 +380,7 @@ def subtracted_susceptibility(
     diffs = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
 
     limit = values[-1]
-    if len(diffs) >= 2 and diffs[-2] != 0.0:
+    if diffs[-2] != 0.0:
         rho = diffs[-1] / diffs[-2]
         if abs(rho) < 1.0:
             limit = values[-1] + diffs[-1] * rho / (1.0 - rho)
@@ -399,25 +402,13 @@ def subtracted_susceptibility(
     )
 
 
-def fit_divergence_coefficient(
-    p: BulkParams,
-    eps_values=DIVERGENCE_FIT_EPS,
-    mode: str = "full-B",
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
-    """Fitted eps^-2 coefficient of the w-form volume.
+def fit_divergence_coefficient(p: BulkParams, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+    """Fitted eps^-2 coefficient of the full-B w-form volume.
 
     Least squares over the basis {eps^-2, log eps, 1, eps^2, eps^3}, which
-    is the exact small-eps structure of the integral; the result should
-    match rp^3/(2 sqrt(-b_minus2)).
+    is the exact small-eps structure of the integral, at the cutoffs
+    DIVERGENCE_FIT_EPS: the fixed row DIVERGENCE_ROW dotted with the seven
+    volumes. The result should match rp^3/(2 sqrt(-b_minus2)).
     """
-    eps = np.asarray(eps_values, dtype=float)
-    if eps.size < 5:
-        raise DomainError("need at least 5 cutoff values to fit 5 basis functions")
-    vols = np.array([volume_w_form(p, float(e), mode, spec).value for e in eps])
-    design = np.column_stack(
-        [eps**-2, np.log(eps), np.ones_like(eps), eps**2, eps**3]
-    )
-    scale = np.abs(design).max(axis=0)
-    coef, *_ = np.linalg.lstsq(design / scale, vols, rcond=None)
-    return float((coef / scale)[0])
+    vols = np.array([volume_w_form(p, eps, spec=spec).value for eps in DIVERGENCE_FIT_EPS])
+    return float(DIVERGENCE_ROW @ vols)

@@ -8,6 +8,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lifshitz_fidelity import (
@@ -281,14 +283,38 @@ def test_fit_on_fine_grid_matches_closed_form(H):
     assert fit.c_sq == pytest.approx(xi_f_analytic(p), rel=1e-8)
 
 
-def test_fit_sample_preconditions():
+@pytest.mark.parametrize("halfwidth", [20.0, 100.0, 400.0, 500.0])
+def test_fit_on_wide_grid_matches_closed_form(halfwidth):
+    # the deficit, about 1e-7, meets the tolerance relative to itself; past
+    # about 420 sigma the kernel's expm1(...)^2 overflows on the far tail
     p = BosonGasParams()
-    with pytest.raises(DomainError):
-        xi_f_from_fit(p, dH_samples=(1e-3, 2e-3, 3e-3))
-    with pytest.raises(DomainError):  # five coefficients leave no residual
-        xi_f_from_fit(p, dH_samples=(1e-3, 2e-3, 3e-3, 4e-3, 5e-3))
-    with pytest.raises(DomainError):
-        xi_f_from_fit(p, dH_samples=(1e-3, 2e-3, 3e-3, 5e-2))
+    fit = xi_f_from_fit(p, grid=QuadratureSpec(halfwidth=halfwidth))
+    assert abs(fit.c_sq - xi_f_analytic(p)) <= 1e-12 * xi_f_analytic(p)
+
+
+def _lstsq_fit(p):
+    # reference: the fit as a per-call least-squares solve on its own scaled design
+    d = np.array([s * p.H for s in (-4e-3, -3e-3, -2e-3, -1e-3, 1e-3, 2e-3, 3e-3, 4e-3)])
+    log_f = np.log1p(-boundary._overlap_deficits(p, d))
+    span = np.abs(d).max()
+    coef, *_ = np.linalg.lstsq((d / span)[:, None] ** np.arange(2, 7), log_f, rcond=None)
+    return 2 * p.N * (-coef[0] / span**2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_q=st.floats(-4.0, 4.0), log_H=st.floats(-4.0, 4.0), N=st.integers(1, 1000),
+       beta=st.floats(-5.0, 5.0))
+def test_fit_operator_matches_least_squares(log_q, log_H, N, beta):
+    # on the wide domain of the test below, the fixed operator FIT_SOLVE gives
+    # the per-call least-squares coefficient, and fails only where it does
+    p = BosonGasParams(N=N, q=10.0**log_q, H=10.0**log_H, beta=beta)
+    try:
+        fit = xi_f_from_fit(p)
+    except LifshitzFidelityError:
+        with pytest.raises(LifshitzFidelityError):
+            _lstsq_fit(p)
+        return
+    assert fit.c_sq == pytest.approx(_lstsq_fit(p), rel=1e-14)
 
 
 @pytest.mark.parametrize("H", [1e-300, 1e307])

@@ -262,6 +262,7 @@ def test_arithmetic_failures_exit_2_without_traceback(tmp_path, capsys, args):
     ["--N", "1000", "--beta", "2"],
     ["--N", "300", "--q", "0.3", "--H", "0.5", "--beta", "1"],
     ["--H", "1e-78"],
+    ["--halfwidth", "500"],  # the deficit's expm1(...)^2 overflows on the far tail
 ])
 def test_many_body_and_extreme_field_fits_succeed(tmp_path, args):
     assert run(["boundary", *args, "--out", str(tmp_path)]) == 0

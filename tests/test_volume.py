@@ -19,6 +19,7 @@ from lifshitz_fidelity import (
     series_divergent_part,
     series_finite_part,
     subtracted_susceptibility,
+    volume,
     volume_exact,
     volume_series_z4,
     volume_w_form,
@@ -118,6 +119,19 @@ def test_fitted_divergence_coefficient_matches_closed_form(make_bulk):
         fitted = fit_divergence_coefficient(p)
         target = p.rp**3 / (2.0 * math.sqrt(-series_coeffs_z4(p).b_minus2))
         assert abs(fitted - target) <= 1e-6 * target
+
+
+def test_divergence_row_is_the_least_squares_coefficient():
+    # reference: a per-call least-squares solve over the scaled basis
+    eps = np.array(volume.DIVERGENCE_FIT_EPS)
+    design = np.column_stack([eps**-2, np.log(eps), np.ones_like(eps), eps**2, eps**3])
+    scale = np.abs(design).max(axis=0)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        truth = np.append(rng.uniform(0.1, 10.0), rng.normal(size=4))
+        vols = design @ truth + rng.normal(scale=1e-3, size=eps.size)
+        coef, *_ = np.linalg.lstsq(design / scale, vols, rcond=None)
+        assert volume.DIVERGENCE_ROW @ vols == pytest.approx((coef / scale)[0], rel=1e-14)
 
 
 # ---------- truncated closed form ----------
