@@ -22,7 +22,6 @@ from .duality import DualityReport, consistency_flags, match_parameters, verify_
 from .errors import (
     ConstraintError,
     ConvergenceError,
-    CutoffMismatchError,
     DomainError,
     FitError,
     GridCoverageError,
@@ -40,13 +39,11 @@ from .geometry import (
 )
 from .params import BosonGasParams, BulkParams, QuadratureSpec
 from .volume import (
-    ComplexityValue,
     RegularizationSweep,
     VolumeResult,
     background_volume,
     complexity,
     fit_divergence_coefficient,
-    regularize,
     series_divergent_part,
     series_finite_part,
     subtracted_susceptibility,

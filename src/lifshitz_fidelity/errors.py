@@ -39,7 +39,3 @@ class ImaginaryIntegrandError(NonPositiveBlackeningError):
 
 class FitError(LifshitzFidelityError, ArithmeticError):
     """Least-squares fit is ill conditioned or violates a fit invariant."""
-
-
-class CutoffMismatchError(LifshitzFidelityError, ValueError):
-    """Regularization inputs were computed at different cutoffs."""

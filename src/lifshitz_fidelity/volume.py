@@ -12,9 +12,9 @@ closed form
 
 Complexity is V/(8 pi R G); the divergent eps^-2 (equivalently r_inf^2)
 piece is removed by subtracting the horizonless background at matched
-r_inf, which also cancels the subleading log when V0 != 0. The subtraction
-sweep and the fit of the eps^-2 coefficient run on fixed cutoffs, and that
-fit is one fixed row of its least-squares operator.
+r_inf, which also cancels the subleading log when V0 != 0. That difference
+is one integral with no cancellation, its cutoffs and limit rows of a single
+quadrature; the eps^-2 fit is one fixed row of its least-squares operator.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from . import geometry, kernels
 from .errors import (
     ConstraintError,
     ConvergenceError,
-    CutoffMismatchError,
     DomainError,
     ImaginaryIntegrandError,
     NonPositiveBlackeningError,
@@ -57,17 +56,9 @@ SUBTRACTION_FACTORS = (50.0, 100.0, 200.0, 400.0)
 
 @dataclass(frozen=True)
 class VolumeResult:
-    """Volume per unit boundary two-area.
-
-    cutoff is r_inf for radial-coordinate results and eps for w-coordinate
-    and series results; divergent_coeff is the analytic coefficient of the
-    leading divergence in that cutoff variable.
-    """
+    """Volume per unit boundary two-area, with its error estimate."""
 
     value: float
-    cutoff: float
-    mode: str  # "full-B" | "truncated" | "series" | "background"
-    divergent_coeff: float
     error_estimate: float
 
     def __post_init__(self):
@@ -78,22 +69,13 @@ class VolumeResult:
 
 
 @dataclass(frozen=True)
-class ComplexityValue:
-    """Holographic complexity F = V/(8 pi R G), tagged with its cutoff."""
-
-    value: float
-    cutoff: float | None
-    mode: str | None
-
-
-@dataclass(frozen=True)
 class RegularizationSweep:
     """Background-subtracted complexity over a sequence of IR cutoffs.
 
-    limit is the Aitken-extrapolated value; series_reference is the
-    truncated-series finite part divided by 8 pi R G (NaN when z != 4), and
-    reference_residual = limit - series_reference quantifies how far the
-    geometric subtraction sits from the truncated-series finite part.
+    values are F - F_bg at the cutoffs and limit is its r_inf -> infinity
+    value; series_reference is the truncated-series finite part divided by
+    8 pi R G (NaN when z != 4), and reference_residual = limit -
+    series_reference quantifies how far the geometric subtraction sits from it.
     """
 
     cutoffs: tuple
@@ -120,14 +102,15 @@ def _integrate_r(cv, cm, hcoef, rp, zexp, lo, hi, spec):
     if lo == 0.0 and hcoef != 0.0:
         raise DomainError("horizon term diverges at r = 0")
     span = hi - lo
-    b_lo = cv if lo == 0.0 else float(cv + (rp / lo) ** zexp * hcoef - cm * lo * lo)
+    ratio = (rp / lo) ** zexp if hcoef else 0.0  # unused, and may overflow, for a tiny lo
+    b_lo = float(cv + ratio * hcoef - cm * lo * lo)
     scale = _scale(cv, cm * hi * hi, hcoef)
     if b_lo < -ENDPOINT_ZERO_TOL * scale:
         raise NonPositiveBlackeningError(f"B({lo}) = {b_lo} < 0 at the lower endpoint")
 
     y0 = 0.0
     if abs(b_lo) <= ENDPOINT_ZERO_TOL * scale and lo > 0.0:
-        bp = -zexp * (rp / lo) ** zexp * hcoef / lo - 2.0 * cm * lo
+        bp = -zexp * ratio * hcoef / lo - 2.0 * cm * lo
         if bp <= 0.0:
             raise NonPositiveBlackeningError("degenerate horizon: B'(rp) <= 0")
         y0 = 2.0 * lo * lo * math.sqrt(span / bp)
@@ -210,9 +193,7 @@ def volume_exact(p: BulkParams, r_inf: float, spec: QuadratureSpec = DEFAULT_SPE
     if not (math.isfinite(r_inf) and r_inf > p.rp):
         raise DomainError(f"r_inf must be finite and exceed rp={p.rp}, got {r_inf}")
     cv, cm, hcoef, zexp = _param_coeffs(p)
-    value, err = _integrate_r(cv, cm, hcoef, p.rp, zexp, p.rp, r_inf, spec)
-    div = 1.0 / (2.0 * math.sqrt(-cm)) if cm < 0 else float("nan")
-    return VolumeResult(value, r_inf, "full-B", div, err)
+    return VolumeResult(*_integrate_r(cv, cm, hcoef, p.rp, zexp, p.rp, r_inf, spec))
 
 
 def background_volume(p: BulkParams, r_inf: float, spec: QuadratureSpec = DEFAULT_SPEC) -> VolumeResult:
@@ -230,11 +211,7 @@ def background_volume(p: BulkParams, r_inf: float, spec: QuadratureSpec = DEFAUL
     r_min = 0.0 if cv >= 0 else math.sqrt(cv / cm)
     if r_inf < r_min:
         raise DomainError(f"r_inf={r_inf} below the background lower limit {r_min}")
-    div = 1.0 / (2.0 * math.sqrt(-cm))
-    if r_inf == r_min:
-        return VolumeResult(0.0, r_inf, "background", div, 0.0)
-    value, err = _integrate_r(cv, cm, 0.0, p.rp, zexp, r_min, r_inf, spec)
-    return VolumeResult(value, r_inf, "background", div, err)
+    return VolumeResult(*_integrate_r(cv, cm, 0.0, p.rp, zexp, r_min, r_inf, spec))
 
 
 def volume_w_form(
@@ -270,9 +247,7 @@ def volume_w_form(
         if mode == "truncated" and not isinstance(exc, ImaginaryIntegrandError):
             raise ImaginaryIntegrandError(str(exc)) from exc
         raise
-    rp3 = p.rp**3
-    div = rp3 / (2.0 * math.sqrt(-bm2_gen)) if bm2_gen < 0 else float("nan")
-    return VolumeResult(rp3 * raw, eps, mode, div, rp3 * err)
+    return VolumeResult(p.rp**3 * raw, p.rp**3 * err)
 
 
 def series_finite_part(b1: float, b_minus2: float, rp: float) -> float:
@@ -299,8 +274,10 @@ def series_divergent_part(b_minus2: float, rp: float, eps: float) -> float:
 def volume_series_z4(p: BulkParams, eps: float) -> VolumeResult:
     """Truncated closed-form volume at z = 4: finite plus divergent part.
 
-    The error estimate is the leading omitted series term,
-    (3/64) (b1/b_minus2)^2 rp^3 / sqrt(-b_minus2).
+    The error estimate is the leading omitted series term, (3/64)
+    (b1/b_minus2)^2 rp^3 / sqrt(-b_minus2), not a bound: at the defaults
+    b1/b_minus2 = 1, the series does not converge, and the quadrature of the
+    same volume is 4.15 estimates away.
     """
     coeffs = geometry.series_coeffs_z4(p)
     if not coeffs.is_physical:
@@ -311,34 +288,14 @@ def volume_series_z4(p: BulkParams, eps: float) -> VolumeResult:
     divergent = series_divergent_part(coeffs.b_minus2, p.rp, eps)
     ratio = coeffs.b1 / coeffs.b_minus2
     trunc = abs(3.0 / 64.0 * ratio**2 * p.rp**3 / math.sqrt(-coeffs.b_minus2))
-    div_coef = p.rp**3 / (2.0 * math.sqrt(-coeffs.b_minus2))
-    return VolumeResult(finite + divergent, eps, "series", div_coef, trunc)
+    return VolumeResult(finite + divergent, trunc)
 
 
 # ---------- complexity and regularization ----------
 
-def complexity(v, p: BulkParams) -> ComplexityValue:
-    """Holographic complexity F = V/(8 pi R G) of a volume (result or float)."""
-    if not p.R > 0 or not p.G > 0:
-        raise DomainError("complexity requires R > 0 and G > 0")
-    denom = 8.0 * math.pi * p.R * p.G
-    if isinstance(v, VolumeResult):
-        return ComplexityValue(v.value / denom, v.cutoff, v.mode)
-    return ComplexityValue(float(v) / denom, None, None)
-
-
-def regularize(f_deformed: ComplexityValue, f_background: ComplexityValue) -> float:
-    """Background subtraction at matched cutoff.
-
-    The divergent cutoff pieces cancel because their coefficient does not
-    depend on rp; inputs tagged with different cutoffs are rejected.
-    """
-    cd, cb = f_deformed.cutoff, f_background.cutoff
-    if (cd is None) != (cb is None):
-        raise CutoffMismatchError("one input carries a cutoff, the other does not")
-    if cd is not None and abs(cd - cb) > 1e-9 * max(abs(cd), abs(cb), 1e-300):
-        raise CutoffMismatchError(f"cutoffs differ: {cd} vs {cb}")
-    return f_deformed.value - f_background.value
+def complexity(v: float, p: BulkParams) -> float:
+    """Holographic complexity F = V/(8 pi R G) of a volume V."""
+    return v / (8.0 * math.pi * p.R * p.G)
 
 
 def xi_f_holo_z4(p: BulkParams) -> float:
@@ -362,40 +319,72 @@ def xi_f_holo_z4(p: BulkParams) -> float:
     )
 
 
+def _subtracted_volumes(p: BulkParams, eps, spec: QuadratureSpec) -> np.ndarray:
+    """V(rp/eps) - V_bg(rp/eps) for a 1-D array of eps; eps = 0 is the limit.
+
+    Below r0 = max(rp, r_min) one geometry contributes: minus the background
+    volume up to rp, or the deformed one up to r_min. Above r0, B - B_bg =
+    hcoef (rp/r)^(1+z/2) turns the difference of integrands, in w = rp/r, into
+    -rp^3 hcoef w^(z/2) / (sb sg (sb + sg)) with sg^2 = cv w^2 - cm rp^2 and
+    sb^2 = w^2 B(rp/w) = sg^2 + hcoef w^(3+z/2): no eps^-2 term cancels. Each
+    row is integrated over [eps, w0 = rp/r0] in w = w0 - (w0 - eps) sin^2(pi s/2),
+    which absorbs the 1/sqrt zero at w0 (of sb at rp, of sg at r_min) and
+    the w^(z/2) branch point at w = 0.
+    """
+    cv, cm, hcoef, _ = _param_coeffs(p)
+    if cm >= 0:
+        raise NonPositiveBlackeningError("background volume requires Lambda + Qt^2 xi < 0")
+    cmr2, half_z, top = cm * p.rp**2, p.z / 2.0, 3.0 + p.z / 2.0
+    if abs(hcoef) <= ENDPOINT_ZERO_TOL * _scale(cv, cmr2):  # B_bg(rp) = -hcoef is a zero:
+        return np.zeros(eps.shape)  # the geometries coincide
+    r_min = math.sqrt(cv / cm) if cv < 0 else 0.0
+    if r_min <= p.rp:  # slope and lead: sb^2 ~ -slope (w0 - w), sg^2 -> lead at w0
+        below, w0 = -background_volume(p, p.rp, spec).value, 1.0
+        slope, lead = 2.0 * cv + top * hcoef, cv - cmr2
+    else:  # sg^2 ~ -slope (w0 - w), sb^2 -> lead
+        below, w0 = volume_exact(p, r_min, spec).value, p.rp / r_min
+        slope, lead = 2.0 * cv * w0, cv * w0**2 + hcoef * w0**top - cmr2
+    span = (w0 - eps)[:, None]
+    y0 = math.pi * np.sqrt(span[:, 0]) * w0**half_z / (math.sqrt(-slope) * lead)
+
+    def make(npts):
+        s = np.linspace(0.0, 1.0, npts)
+        w = w0 - span * np.sin(0.5 * math.pi * s) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sg2 = cv * w * w - cmr2
+            sg, sb = np.sqrt(sg2), np.sqrt(sg2 + hcoef * w**top)
+            y = 0.5 * math.pi * span * np.sin(math.pi * s) * w**half_z / (sb * sg * (sb + sg))
+        y[:, 0] = y0
+        if not np.all(np.isfinite(y)):
+            raise NonPositiveBlackeningError("B or B_bg non-positive inside the integration domain")
+        return y, s
+
+    value, err = kernels.refined_simpson(make, spec)
+    if np.any(err > spec.tolerance * abs(value)):
+        raise ConvergenceError(f"subtracted-volume quadrature stalled: error estimate {err.max():.3e}")
+    return below - p.rp**3 * hcoef * value
+
+
 def subtracted_susceptibility(p: BulkParams, spec: QuadratureSpec = DEFAULT_SPEC) -> RegularizationSweep:
     """Background-subtracted complexity at r_inf = SUBTRACTION_FACTORS * rp.
 
     The sequence is Cauchy (corrections decay like r_inf^-(1+z/2)); the
-    limit comes from Aitken extrapolation of the last three values. The
+    values and the limit r_inf -> infinity are rows of one quadrature. The
     residual against the truncated-series finite part is reported, not
     asserted: the geometric subtraction also removes the background's own
     finite piece, which the truncated closed form retains.
     """
-    values = []
-    cutoffs = tuple(f * p.rp for f in SUBTRACTION_FACTORS)
-    for r_inf in cutoffs:
-        f_d = complexity(volume_exact(p, r_inf, spec), p)
-        f_b = complexity(background_volume(p, r_inf, spec), p)
-        values.append(regularize(f_d, f_b))
-    diffs = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
-
-    limit = values[-1]
-    if diffs[-2] != 0.0:
-        rho = diffs[-1] / diffs[-2]
-        if abs(rho) < 1.0:
-            limit = values[-1] + diffs[-1] * rho / (1.0 - rho)
-
+    eps = np.array([1.0 / f for f in SUBTRACTION_FACTORS] + [0.0])
+    *values, limit = (complexity(v, p) for v in _subtracted_volumes(p, eps, spec).tolist())
     try:
         coeffs = geometry.series_coeffs_z4(p)
-        reference = series_finite_part(coeffs.b1, coeffs.b_minus2, p.rp) / (
-            8.0 * math.pi * p.R * p.G
-        )
+        reference = complexity(series_finite_part(coeffs.b1, coeffs.b_minus2, p.rp), p)
     except (ConstraintError, DomainError):
         reference = float("nan")
     return RegularizationSweep(
-        cutoffs=cutoffs,
+        cutoffs=tuple(f * p.rp for f in SUBTRACTION_FACTORS),
         values=tuple(values),
-        differences=diffs,
+        differences=tuple(b - a for a, b in zip(values, values[1:])),
         limit=limit,
         series_reference=reference,
         reference_residual=limit - reference,

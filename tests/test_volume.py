@@ -1,13 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lifshitz_fidelity import (
-    ComplexityValue,
+    BulkParams,
     ConstraintError,
-    CutoffMismatchError,
     DomainError,
     ImaginaryIntegrandError,
     NonPositiveBlackeningError,
@@ -15,7 +17,6 @@ from lifshitz_fidelity import (
     background_volume,
     complexity,
     fit_divergence_coefficient,
-    regularize,
     series_divergent_part,
     series_finite_part,
     subtracted_susceptibility,
@@ -28,8 +29,10 @@ from lifshitz_fidelity import (
 from lifshitz_fidelity.geometry import (
     blackening_derivative,
     curvature_coefficient,
+    potential_coefficient,
     series_coeffs_z4,
 )
+from lifshitz_fidelity.verification import _bulk
 
 
 def random_bulk(rng, make_bulk):
@@ -159,8 +162,6 @@ def test_series_volume_combines_parts(make_bulk):
     p = make_bulk(lambda_eff=-5.0, rp=1.0, V0=-6.0)  # b1 = 0, b_minus2 = -1
     res = volume_series_z4(p, 0.1)
     assert res.value == pytest.approx(50.0 - 0.5, rel=1e-14)
-    assert res.mode == "series"
-    assert res.divergent_coeff == pytest.approx(0.5, rel=1e-14)
 
 
 def test_series_volume_constraints(make_bulk):
@@ -176,42 +177,27 @@ def test_series_volume_constraints(make_bulk):
 
 def test_complexity_normalization(make_bulk):
     p = make_bulk()  # R = L = 1, G = 1
-    assert complexity(8 * math.pi, p).value == pytest.approx(1.0, rel=1e-14)
-    assert complexity(50.0, p).value == pytest.approx(50 / (8 * math.pi), rel=1e-14)
+    assert complexity(8 * math.pi, p) == pytest.approx(1.0, rel=1e-14)
+    assert complexity(50.0, p) == pytest.approx(50 / (8 * math.pi), rel=1e-14)
 
 
 def test_complexity_of_series_volume(make_bulk):
     p = make_bulk(lambda_eff=-5.0, rp=1.0, V0=-6.0)
-    f = complexity(volume_series_z4(p, 0.1), p)
-    assert f.value == pytest.approx((50.0 - 0.5) / (8 * math.pi), rel=1e-14)
-    assert f.cutoff == 0.1
-
-
-def test_regularize_cancellation():
-    a = ComplexityValue(50.0 - 1.0 / 3.0, cutoff=0.1, mode="full-B")
-    b = ComplexityValue(50.0, cutoff=0.1, mode="background")
-    assert regularize(a, b) == pytest.approx(-1.0 / 3.0, rel=1e-14)
-    assert regularize(a, a) == 0.0
-
-
-def test_regularize_rejects_mismatched_cutoffs():
-    a = ComplexityValue(1.0, cutoff=100.0, mode="full-B")
-    b = ComplexityValue(1.0, cutoff=200.0, mode="background")
-    with pytest.raises(CutoffMismatchError):
-        regularize(a, b)
-    with pytest.raises(CutoffMismatchError):
-        regularize(a, ComplexityValue(1.0, cutoff=None, mode=None))
+    f = complexity(volume_series_z4(p, 0.1).value, p)
+    assert f == pytest.approx((50.0 - 0.5) / (8 * math.pi), rel=1e-14)
 
 
 # ---------- background geometry ----------
 
 def test_background_analytic_value_without_potential(make_bulk):
-    # V0 = 0: B_bg = -cm r^2, so V = (r_inf^2 - r_min^2) / (2 sqrt(-cm)) with r_min = 0
-    p = make_bulk(lambda_eff=-5.0, V0=0.0)
-    cm = curvature_coefficient(p)
-    r_inf = 30.0
-    res = background_volume(p, r_inf)
-    assert res.value == pytest.approx(r_inf**2 / (2 * math.sqrt(-cm)), rel=1e-10)
+    # V0 = 0: B_bg = -cm r^2, so V = (r_inf^2 - r_min^2) / (2 sqrt(-cm)) with r_min = 0;
+    # at V0 = -1e-300, r_min = 4e-151 and (rp / r_min)^(1+z/2) would overflow
+    for V0 in (0.0, -1e-300):
+        p = make_bulk(lambda_eff=-5.0, V0=V0)
+        cm = curvature_coefficient(p)
+        r_inf = 30.0
+        res = background_volume(p, r_inf)
+        assert res.value == pytest.approx(r_inf**2 / (2 * math.sqrt(-cm)), rel=1e-10)
 
 
 def test_background_starts_at_its_own_zero_for_negative_potential(make_bulk):
@@ -231,6 +217,8 @@ def test_background_degenerate_interval(make_bulk):
 def test_background_requires_negative_lambda_eff(make_bulk):
     with pytest.raises(NonPositiveBlackeningError):
         background_volume(make_bulk(lambda_eff=2.0), 10.0)
+    with pytest.raises(NonPositiveBlackeningError):
+        subtracted_susceptibility(make_bulk(lambda_eff=2.0, V0=-1.0))
 
 
 def test_divergence_coefficient_shared_with_background(make_bulk):
@@ -254,7 +242,10 @@ def test_divergence_coefficient_shared_with_background(make_bulk):
 
 
 def test_subtracted_complexity_is_cauchy(make_bulk):
-    for p in (make_bulk(-5.0, 1.0, 0.0), make_bulk(-5.0, 1.3, -2.1)):
+    # V0 = 0.5 and 2 and r_min > rp (V0 = -9) are where eight radial
+    # quadratures of volumes up to 9e4 left the differences non-monotone
+    for p in (make_bulk(-5.0, 1.0, 0.0), make_bulk(-5.0, 1.3, -2.1), make_bulk(-4.0, 1.0, 0.5),
+              make_bulk(-4.0, 1.0, 2.0), make_bulk(-5.0, 1.0, -9.0)):
         sweep = subtracted_susceptibility(p)
         mags = [abs(d) for d in sweep.differences]
         assert all(mags[i + 1] < mags[i] for i in range(len(mags) - 1))
@@ -273,13 +264,78 @@ def test_subtraction_reference_residual_is_quantified_not_zero(make_bulk):
     assert sweep.reference_residual == pytest.approx(-expected_ref, rel=1e-10)
 
 
+def _mpmath_subtracted(p):
+    """F(r_inf) - F_bg(r_inf) at the sweep's cutoffs and at r_inf = infinity,
+    by 40-digit quadrature of the radial integrands themselves."""
+    with mpmath.workdps(40):
+        cv, cm = mpmath.mpf(potential_coefficient(p)), mpmath.mpf(curvature_coefficient(p))
+        rp, zexp = mpmath.mpf(p.rp), 1 + mpmath.mpf(p.z) / 2
+
+        def inv_sqrt_b(r):  # abs: B vanishes at an endpoint, up to rounding
+            return 1 / mpmath.sqrt(abs(cv + (cm * rp**2 - cv) * (rp / r) ** zexp - cm * r * r))
+
+        def inv_sqrt_bg(r):
+            return 1 / mpmath.sqrt(abs(cv - cm * r * r))
+
+        r_min = mpmath.sqrt(cv / cm) if cv < 0 else mpmath.mpf(0)
+        if r_min <= rp:
+            total = -mpmath.quad(lambda r: r * r * inv_sqrt_bg(r), [r_min, rp])
+        else:
+            total = mpmath.quad(lambda r: r * r * inv_sqrt_b(r), [rp, r_min])
+        edges = [max(rp, r_min)] + [f * rp for f in volume.SUBTRACTION_FACTORS] + [mpmath.inf]
+        values = []
+        for lo, hi in zip(edges, edges[1:]):
+            total += mpmath.quad(lambda r: r * r * (inv_sqrt_b(r) - inv_sqrt_bg(r)), [lo, hi])
+            values.append(float(total / (8 * mpmath.pi * p.R * p.G)))
+    return values
+
+
+@pytest.mark.parametrize("lambda_eff,rp,V0,z", [
+    (-4.0, 1.0, 0.0, 4.0), (-4.0, 1.0, -0.5, 4.0), (-4.0, 1.0, 0.5, 4.0), (-4.0, 1.0, 2.0, 4.0),
+    (-5.0, 1.0, 0.0, 4.0), (-5.0, 1.3, -2.1, 4.0),
+    (-5.0, 1.0, -9.0, 4.0),  # the background's own zero r_min = sqrt(cv/cm) lies above rp
+    (-4.0, 1.0, 0.0, 1.0), (-4.0, 1.0, 1.0, 2.5), (-4.0, 1.0, -1.0, 7.0), (-4.0, 2.0, -2.0, 1.0),
+])
+def test_subtraction_matches_mpmath(make_bulk, lambda_eff, rp, V0, z):
+    p = make_bulk(lambda_eff, rp, V0, z=z)
+    sweep = subtracted_susceptibility(p)
+    for got, want in zip(sweep.values + (sweep.limit,), _mpmath_subtracted(p)):
+        assert got == pytest.approx(want, rel=2e-11)
+
+
+def test_subtraction_limit_beta_function_at_zero_potential():
+    # V0 = 0: B = -cm r^2 (1 - (rp/r)^5) at z = 4, and the subtracted volume
+    # is rp^2 B(-2/5, 1/2) / (5 sqrt(-cm)) = rp^3 B(-2/5, 1/2) / (5 sqrt(-b_minus2))
+    p = BulkParams()
+    beta = math.gamma(-0.4) * math.gamma(0.5) / math.gamma(0.1)
+    volume_limit = p.rp**3 * beta / (5 * math.sqrt(-series_coeffs_z4(p).b_minus2))
+    assert subtracted_susceptibility(p).limit == pytest.approx(complexity(volume_limit, p), rel=1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(0.5, 10.0), rp=st.floats(0.3, 3.0), V0=st.floats(-3.0, 3.0),
+       L=st.floats(0.5, 2.0))
+def test_subtraction_matches_difference_of_volumes(lam, rp, V0, L):
+    # the reference is the difference of the two divergent volumes at each
+    # cutoff; the bound is 4x the sum of their error estimates, which
+    # understate the error by up to 2.4x where 0 < V0 << 1 (background
+    # integrand r^2/sqrt(cv - cm r^2) turns over at r ~ sqrt(-cv/cm))
+    p = _bulk(lambda_eff=-lam, rp=rp, V0=V0, L=L)
+    assume(blackening_derivative(p.rp, p) > 0.1 * (-curvature_coefficient(p)) * p.rp)
+    sweep = subtracted_susceptibility(p)
+    for r_inf, value in zip(sweep.cutoffs, sweep.values):
+        v, bg = volume_exact(p, r_inf), background_volume(p, r_inf)
+        bound = 4 * complexity(v.error_estimate + bg.error_estimate, p)
+        assert abs(value - complexity(v.value - bg.value, p)) <= bound
+
+
 def test_volume_positivity(make_bulk):
     rng = np.random.default_rng(31)
     for _ in range(10):
         p = random_bulk(rng, make_bulk)
         v = volume_exact(p, 10.0 * p.rp)
         assert v.value > 0
-        assert complexity(v, p).value > 0
+        assert complexity(v.value, p) > 0
 
 
 # ---------- closed-form holographic susceptibility ----------
@@ -316,9 +372,9 @@ def test_volume_result_validation():
     from lifshitz_fidelity import ConvergenceError, VolumeResult
 
     with pytest.raises(ConvergenceError):
-        VolumeResult(float("nan"), 0.1, "series", 0.5, 0.0)
+        VolumeResult(float("nan"), 0.0)
     with pytest.raises(DomainError):
-        VolumeResult(1.0, 0.1, "series", 0.5, -1.0)
+        VolumeResult(1.0, -1.0)
 
 
 def test_quadrature_spec_panel_scaling_consistency(make_bulk):
