@@ -36,8 +36,21 @@ DVR_HALFWIDTH = 10.0
 FIT_SAMPLE_SCALES = np.array([-4e-3, -3e-3, -2e-3, -1e-3, 1e-3, 2e-3, 3e-3, 4e-3])
 #: The fit's design matrix, the same at every H: the powers 2..6 of dH / max|dH|.
 FIT_DESIGN = (FIT_SAMPLE_SCALES / np.abs(FIT_SAMPLE_SCALES).max())[:, None] ** np.arange(2, 7)
-#: The fit's least-squares operator, built once: coefficients = FIT_SOLVE @ log f.
-FIT_SOLVE = np.linalg.pinv(FIT_DESIGN)
+#: The fit's least-squares operator, the pseudoinverse of FIT_DESIGN:
+#: coefficients = FIT_SOLVE @ log f. Written out so that import makes no LAPACK
+#: call (tests/test_boundary.py rebuilds it).
+FIT_SOLVE = np.array([
+    [0.17724243691621402, -1.3290506064408225, 3.762788233653984, 2.0744235326920424,
+     2.0744235326920406, 3.76278823365398, -1.32905060644082, 0.17724243691621364],
+    [0.5391095066185322, -2.1227436823104684, -1.1263537906137224, -0.17809867629362422,
+     0.17809867629361997, 1.126353790613716, 2.1227436823104733, -0.539109506618533],
+    [-1.1277847483619148, 7.244500209117534, -10.244639620800239, -6.1773874250662315,
+     -6.177387425066224, -10.244639620800225, 7.244500209117528, -1.127784748361914],
+    [-1.0358505099625999, 2.104368323851771, 1.1613721505047092, 0.18551068957090408,
+     -0.18551068957089858, -1.1613721505047006, -2.1043683238517774, 1.035850509962601],
+    [1.4504168409312712, -5.914445838561277, 6.478338212742237, 4.109990241182217,
+     4.109990241182213, 6.478338212742226, -5.9144458385612735, 1.4504168409312705],
+])
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,7 @@ is a configuration error. Defaults come from the parameter classes
 (BosonGasParams, BulkParams, QuadratureSpec). --log is shorthand for
 --spacing log. Every artifact echoes the effective configuration in its
 header, so re-running from the echoed block reproduces the artifact byte for
-byte. Sweeps pick their thread count from the grid size
-(THREADED_GRID_POINTS); it never changes output.
+byte.
 
 Exit codes: 0 success, 1 configuration failure, 2 numerical failure,
 including a parameter value outside its domain. An exit-2 diagnostic names
@@ -25,9 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -70,12 +67,6 @@ KEY_ALIASES = {
 }
 
 SWEEPABLE = set(BOUNDARY_KEYS + BULK_KEYS) - {"N"}
-
-#: First grid of one sweep point (4*panels + 1) from which a sweep runs on
-#: every usable core; below it a sweep runs in the calling thread, since
-#: threads only contend for the GIL.
-THREADED_GRID_POINTS = 2**16
-
 
 class _UsageError(Exception):
     pass
@@ -321,16 +312,6 @@ def _sweep_values(cfg):
     return np.linspace(lo, hi, n)
 
 
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):  # the affinity mask, where there is one
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _sweep_threads(spec) -> int:
-    return _usable_cores() if 4 * spec.panels + 1 >= THREADED_GRID_POINTS else 1
-
-
 def _cmd_sweep(cfg, outdir):
     axis = cfg["axis"]
     side = _sweep_side(axis)
@@ -352,13 +333,7 @@ def _cmd_sweep(cfg, outdir):
             raise _NumericalFailure(f"sweep {where}", exc) from exc
         return results
 
-    threads = _sweep_threads(spec)
-    if threads == 1:
-        rows_dicts = [eval_point(v) for v in values]
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            rows_dicts = list(pool.map(eval_point, values))
-
+    rows_dicts = [eval_point(v) for v in values]
     columns = [axis] + sorted(rows_dicts[0])
     rows = [[float(v)] + [d[k] for k in columns[1:]] for v, d in zip(values, rows_dicts)]
     _write_csv(outdir / "sweep.csv", cfg, columns, rows)

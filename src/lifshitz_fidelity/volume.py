@@ -18,6 +18,7 @@ quadrature; the eps^-2 fit is one fixed row of its least-squares operator.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,13 +43,17 @@ W_SPLIT = 0.5
 ENDPOINT_ZERO_TOL = 1e-11
 
 #: Cutoffs of the divergence-coefficient fit, and the eps^-2 row of its
-#: least-squares operator over {eps^-2, log eps, 1, eps^2, eps^3}, built once
-#: with unit-max columns: the fitted coefficient is DIVERGENCE_ROW @ volumes.
+#: least-squares operator over {eps^-2, log eps, 1, eps^2, eps^3}: the fitted
+#: coefficient is DIVERGENCE_ROW @ volumes. The row is the first row of the
+#: pseudoinverse of that basis with unit-max columns, divided by the first
+#: column's scale, written out so that import makes no LAPACK call
+#: (tests/test_volume.py rebuilds it).
 DIVERGENCE_FIT_EPS = (0.04, 0.028, 0.02, 0.014, 0.01, 0.007, 0.005)
-_eps = np.array(DIVERGENCE_FIT_EPS)
-_basis = np.column_stack([_eps**-2, np.log(_eps), np.ones_like(_eps), _eps**2, _eps**3])
-_scale = np.abs(_basis).max(axis=0)
-DIVERGENCE_ROW = np.linalg.pinv(_basis / _scale)[0] / _scale[0]
+DIVERGENCE_ROW = np.array([
+    1.172053208252282e-05, -6.256332496711353e-05, 6.690439075859804e-05,
+    5.947294075179701e-05, -4.692602101471767e-05, -0.00011307675861925141,
+    8.446824100816474e-05,
+])
 
 #: IR cutoffs r_inf / rp of the background subtraction, increasing.
 SUBTRACTION_FACTORS = (50.0, 100.0, 200.0, 400.0)
@@ -92,6 +97,18 @@ def _scale(*vals):
     return max(*(abs(v) for v in vals), 1e-300)
 
 
+@functools.lru_cache(maxsize=1)
+def _radial_grid(npts, lo, span, rp, zexp):
+    """The s grid of _integrate_r and its radial factors, read-only. They do
+    not depend on cv, cm or hcoef, so the points of a bulk sweep that keeps
+    rp and r_inf share one grid."""
+    s = np.linspace(0.0, 1.0, npts)
+    factors = kernels.radial_factors(s, lo, span, 2, rp, zexp)
+    for a in (s, *factors):
+        a.flags.writeable = False
+    return s, factors
+
+
 def _integrate_r(cv, cm, hcoef, rp, zexp, lo, hi, spec):
     """Radial quadrature of r^2/sqrt(B) on [lo, hi] for the parametric B,
     in s with r = lo + (hi - lo) s^2."""
@@ -116,8 +133,8 @@ def _integrate_r(cv, cm, hcoef, rp, zexp, lo, hi, spec):
         y0 = 2.0 * lo * lo * math.sqrt(span / bp)
 
     def make(npts):
-        s = np.linspace(0.0, 1.0, npts)
-        y = kernels.volume_integrand_r(s, lo, span, 2, cv, cm, hcoef, rp, zexp, y0)
+        s, factors = _radial_grid(npts, lo, span, rp, zexp)
+        y = kernels.radial_integrand(factors, cv, cm, hcoef, y0)
         if not np.all(np.isfinite(y)):
             raise NonPositiveBlackeningError(
                 "blackening factor non-positive inside the integration domain"

@@ -292,6 +292,13 @@ def test_fit_on_wide_grid_matches_closed_form(halfwidth):
     assert abs(fit.c_sq - xi_f_analytic(p)) <= 1e-12 * xi_f_analytic(p)
 
 
+def test_fit_solve_is_the_pseudoinverse_of_the_design():
+    # FIT_SOLVE is written out as a literal; LAPACK rebuilds it
+    rebuilt = np.linalg.pinv(boundary.FIT_DESIGN)
+    assert np.abs(boundary.FIT_SOLVE - rebuilt).max() <= 1e-14 * np.abs(rebuilt).max()
+    assert np.abs(boundary.FIT_SOLVE @ boundary.FIT_DESIGN - np.eye(5)).max() <= 1e-13
+
+
 def _lstsq_fit(p):
     # reference: the fit as a per-call least-squares solve on its own scaled design
     d = np.array([s * p.H for s in (-4e-3, -3e-3, -2e-3, -1e-3, 1e-3, 2e-3, 3e-3, 4e-3)])

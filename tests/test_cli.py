@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lifshitz_fidelity import QuadratureSpec, cli, geometry
+from lifshitz_fidelity import cli, geometry, volume
 from lifshitz_fidelity.cli import main
 
 
@@ -69,24 +69,43 @@ def test_sweep_is_deterministic(tmp_path):
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
-def test_sweep_concurrency_does_not_change_output(tmp_path, monkeypatch):
-    args = ["sweep", "--axis", "Qt", "--from", "1", "--to", "5", "--points", "5"]
-    out1, out2 = tmp_path / "serial", tmp_path / "threaded"
-    monkeypatch.setattr(cli, "THREADED_GRID_POINTS", 2**62)
-    assert run(args + ["--out", str(out1)]) == 0
-    monkeypatch.setattr(cli, "THREADED_GRID_POINTS", 1)
-    assert run(args + ["--out", str(out2)]) == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+@pytest.mark.parametrize("axis, lo, hi", [("Qt", "1", "10"), ("rp", "0.5", "2")])
+def test_sweep_rows_match_fresh_volume_calls(tmp_path, monkeypatch, axis, lo, hi):
+    # at panels 8192 a first grid (32769 points) spans three radial blocks; a
+    # Qt sweep reuses its cached grid, an rp sweep builds one per point, and
+    # either way each row's volume is a fresh call's, bit for bit
+    calls = []
+    volume_exact = volume.volume_exact
+
+    def recorded(*args):
+        calls.append((args, volume_exact(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(volume, "volume_exact", recorded)
+    assert run(["sweep", "--axis", axis, "--from", lo, "--to", hi, "--points", "4",
+                "--log", "--panels", "8192", "--out", str(tmp_path)]) == 0
+    rows = [ln.split(",") for ln in (tmp_path / "sweep.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    col = rows[0].index("v_exact")
+    assert len(calls) == len(rows) - 1 == 4
+    for (args, got), row in zip(calls, rows[1:]):
+        volume._radial_grid.cache_clear()
+        want = volume_exact(*args)
+        assert got == want
+        assert row[col] == format(want.value, ".12g")
 
 
-def test_sweep_threads_follow_the_grid_size():
-    # first grid 4*panels + 1: up to 32769 points runs serially,
-    # 65537 points on every usable core
-    assert cli._sweep_threads(QuadratureSpec()) == 1
-    assert cli._sweep_threads(QuadratureSpec(panels=2048)) == 1
-    assert cli._sweep_threads(QuadratureSpec(panels=8192)) == 1
-    assert cli._sweep_threads(QuadratureSpec(panels=16384)) == cli._usable_cores()
-    assert cli._sweep_threads(QuadratureSpec(panels=65536)) == cli._usable_cores()
+def test_bulk_sweep_builds_one_radial_grid_while_rp_and_r_inf_hold(tmp_path):
+    volume._radial_grid.cache_clear()
+    assert run(["sweep", "--axis", "Qt", "--from", "0.5", "--to", "20", "--points", "16",
+                "--log", "--panels", "65536", "--out", str(tmp_path / "Qt")]) == 0
+    info = volume._radial_grid.cache_info()
+    assert (info.misses, info.hits) == (1, 15)
+    volume._radial_grid.cache_clear()
+    assert run(["sweep", "--axis", "rp", "--from", "0.5", "--to", "2", "--points", "4",
+                "--out", str(tmp_path / "rp")]) == 0
+    info = volume._radial_grid.cache_info()
+    assert (info.misses, info.hits) == (4, 0)
 
 
 @pytest.mark.parametrize("axis, extra", [("Qt", ["--r_inf", "150"]), ("H", [])],

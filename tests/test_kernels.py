@@ -175,6 +175,32 @@ def test_volume_integrand_r_matches_out_of_place_bits(npts, mexp, seed):
     _assert_same_bits(got, _ref_volume_integrand_r(s, *args))
 
 
+BLOCK_EDGES = [kernels.RADIAL_BLOCK - 1, kernels.RADIAL_BLOCK, kernels.RADIAL_BLOCK + 1,
+               2 * kernels.RADIAL_BLOCK + 1]
+
+
+@pytest.mark.parametrize("npts", BLOCK_EDGES)
+@pytest.mark.parametrize("mexp", [1, 2, 3])
+def test_radial_kernels_match_out_of_place_bits_at_block_edges(npts, mexp):
+    # grids that end just short of, at and just past a block boundary
+    rng, p, cv, cm, hcoef, zexp = _bulk_draw(npts + mexp)
+    lo, span, y0 = p.rp, rng.uniform(10.0, 200.0) * p.rp, rng.uniform(0.0, 5.0)
+    s = np.linspace(0.0, 1.0, npts)
+    before = s.copy()
+    factors = kernels.radial_factors(s, lo, span, mexp, p.rp, zexp)
+    got = kernels.radial_integrand(factors, cv, cm, hcoef, y0)
+    _assert_same_bits(s, before)
+    _assert_same_bits(got, _ref_volume_integrand_r(s, lo, span, mexp, cv, cm, hcoef,
+                                                   p.rp, zexp, y0))
+
+
+def test_cached_radial_grid_is_read_only():
+    s, factors = volume._radial_grid(257, 1.0, 99.0, 1.0, 3.0)
+    for a in (s, *factors):
+        with pytest.raises(ValueError):
+            a[1] = 0.0
+
+
 @pytest.mark.parametrize("npts", GRID_SIZES)
 @pytest.mark.parametrize("mexp", [2, 3, 4])
 @pytest.mark.parametrize("seed", SEEDS)

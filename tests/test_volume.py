@@ -124,6 +124,15 @@ def test_fitted_divergence_coefficient_matches_closed_form(make_bulk):
         assert abs(fitted - target) <= 1e-6 * target
 
 
+def test_divergence_row_is_the_pseudoinverse_row():
+    # DIVERGENCE_ROW is written out as a literal; LAPACK rebuilds it
+    eps = np.array(volume.DIVERGENCE_FIT_EPS)
+    basis = np.column_stack([eps**-2, np.log(eps), np.ones_like(eps), eps**2, eps**3])
+    scale = np.abs(basis).max(axis=0)
+    rebuilt = np.linalg.pinv(basis / scale)[0] / scale[0]
+    assert np.abs(volume.DIVERGENCE_ROW - rebuilt).max() <= 1e-14 * np.abs(rebuilt).max()
+
+
 def test_divergence_row_is_the_least_squares_coefficient():
     # reference: a per-call least-squares solve over the scaled basis
     eps = np.array(volume.DIVERGENCE_FIT_EPS)
