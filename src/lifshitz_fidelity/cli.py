@@ -115,8 +115,12 @@ def _coerce(key: str, raw: str):
 
 def parse_config_file(path) -> dict:
     """Flat key = value lines; '#' starts a comment."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path}: {exc}") from None
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -1,10 +1,10 @@
 """Hot numeric kernels, vectorized with numpy.
 
 Inner loops that dominate runtime: blackening-factor evaluation, the
-singular-endpoint volume integrands (radial and w-coordinate forms), the
-Gaussian overlap product and overlap deficit, composite Simpson summation,
-and the adaptive refinement driver built on it. Per-kernel timings come
-from `python3 perfbench/run.py` (see perfbench/README.md).
+singular-endpoint radial volume integrand, the Gaussian overlap product and
+overlap deficit, composite Simpson summation, and the adaptive refinement
+driver built on it. Per-kernel timings come from `python3 perfbench/run.py`
+(see perfbench/README.md).
 
 The radial volume integrand is split in two. radial_factors builds the
 arrays that depend only on the grid (r, the Jacobian times r^2, and
@@ -12,16 +12,16 @@ arrays that depend only on the grid (r, the Jacobian times r^2, and
 radial_integrand runs the per-point pass over them RADIAL_BLOCK points at a
 time, with two block-sized scratch arrays, so its working set stays in
 cache. volume_integrand_r composes the two. The other grid kernels (the
-w-coordinate integrands, the Gaussian product and the overlap deficit)
-evaluate in place: each allocates its output and at most two scratch arrays
-of the grid's shape. No kernel writes into the grid it is given. All of them
-apply the same ufuncs to the same operands in the same order as the plain
-expressions they stand for (kept in tests/test_kernels.py as references),
-so every value is bit-identical; `**` with a scalar exponent
-stays an operator so numpy's square, sqrt and copy fast paths still apply.
-The Gaussian kernels and `simpson` also take a (rows x n) grid with
-per-row parameters as (rows x 1) columns, and each row keeps the bits of a
-one-row call when the grid is C-ordered.
+Gaussian product and the overlap deficit) evaluate in place: each allocates
+its output and at most two scratch arrays of the grid's shape. No kernel
+writes into the grid it is given. All of them apply the same ufuncs to the
+same operands in the same order as the plain expressions they stand for
+(kept in tests/test_kernels.py as references), so every value is
+bit-identical; `**` with a scalar exponent stays an operator so numpy's
+square, sqrt and copy fast paths still apply. The Gaussian kernels and
+`simpson` also take a (rows x n) grid with per-row parameters as (rows x 1)
+columns, and each row keeps the bits of a one-row call when the grid is
+C-ordered.
 """
 from __future__ import annotations
 
@@ -78,39 +78,6 @@ def radial_integrand(factors, cv, cm, hcoef, y0):
 
 def volume_integrand_r(s, lo, span, mexp, cv, cm, hcoef, rp, zexp, y0):
     return radial_integrand(radial_factors(s, lo, span, mexp, rp, zexp), cv, cm, hcoef, y0)
-
-
-def wform_integrand_top(s, wlo, mexp, cvterm, bcoef, bm2, zexp, y0):
-    w = s**mexp
-    w *= 1.0 - wlo
-    np.subtract(1.0, w, out=w)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        b = w**zexp
-        b *= bcoef
-        b += cvterm
-        y = w * w  # scratch until it takes s^(mexp-1) below
-        b -= np.divide(bm2, y, out=y)
-        w **= 4
-        w *= np.sqrt(b, out=b)
-        np.copyto(y, s)
-        y **= mexp - 1
-        y *= mexp * (1.0 - wlo)
-        y /= w
-    y[0] = y0
-    return y
-
-
-def wform_integrand_log(u, cvterm, bcoef, bm2, zexp):
-    w = np.exp(u)
-    b = w**zexp
-    b *= bcoef
-    b += cvterm
-    tmp = w * w
-    b -= np.divide(bm2, tmp, out=tmp)
-    with np.errstate(invalid="ignore"):
-        w **= 3
-        w *= np.sqrt(b, out=b)
-        return np.divide(1.0, w, out=w)
 
 
 def gaussian_product(x, a, xa, b, xb):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from . import kernels
 from .errors import DomainError
 
 #: Tolerance for the Lambda = -3/L^2 consistency check.
@@ -112,15 +113,15 @@ class QuadratureSpec:
     """Controls for the composite-Simpson quadratures.
 
     panels     Simpson panels of the coarse sum of the first step: its grid
-               carries 4*panels + 1 points and the coarse sum its even
-               subsample; the grid then doubles until the Richardson error
-               estimate meets tolerance (kernels.refined_simpson)
+               carries 4*panels + 1 <= kernels.MAX_GRID_POINTS points and the
+               coarse sum its even subsample; the grid then doubles until the
+               Richardson error estimate meets tolerance (kernels.refined_simpson)
     tolerance  relative convergence / tail-coverage threshold
     halfwidth  Gaussian-grid half width in units of sigma
 
     The bulk quadratures absorb inverse-square-root endpoint singularities
-    with the fixed substitution r = lo + (hi - lo) s^2 (w = 1 - (1 - w_lo) s^2
-    on the w grid), whose endpoint limits are derived in closed form.
+    with fixed substitutions (r = lo + (hi - lo) s^2 on the radial grid,
+    w = eps^(s^2) on the w grid), whose endpoint limits are derived in closed form.
     """
 
     panels: int = 64
@@ -129,8 +130,8 @@ class QuadratureSpec:
 
     def __post_init__(self):
         _require_finite(self)
-        if self.panels < 64:
-            raise DomainError(f"panels must be >= 64, got {self.panels}")
+        if not 64 <= self.panels <= (kernels.MAX_GRID_POINTS - 1) // 4:
+            raise DomainError(f"panels must lie in [64, {(kernels.MAX_GRID_POINTS - 1) // 4}], got {self.panels}")
         if not self.tolerance > 0:
             raise DomainError("tolerance must be positive")
         if not self.halfwidth > 0:

@@ -4,8 +4,8 @@ Evaluates V = integral of r^2/sqrt(B(r)) per unit boundary two-area, three
 ways: direct radial quadrature with the horizon 1/sqrt(r - rp) singularity
 absorbed by an endpoint substitution, the same integral in the inverted
 coordinate w = rp/r (either with the full blackening factor or with the
-truncated integrand that drops the constant term), and the z = 4 truncated
-closed form
+truncated integrand that drops the constant term) as one quadrature on the
+map w = eps^(s^2), and the z = 4 truncated closed form
 
     V = rp^3 * A / (3840 (-b_minus2)^(9/2)) + rp^3 / (2 eps^2 sqrt(-b_minus2)),
     A = 640 b_minus2^3 (b1 - 3 b_minus2).
@@ -14,7 +14,8 @@ Complexity is V/(8 pi R G); the divergent eps^-2 (equivalently r_inf^2)
 piece is removed by subtracting the horizonless background at matched
 r_inf, which also cancels the subleading log when V0 != 0. That difference
 is one integral with no cancellation, its cutoffs and limit rows of a single
-quadrature; the eps^-2 fit is one fixed row of its least-squares operator.
+quadrature; the eps^-2 fit is one fixed row of its least-squares operator,
+applied to w-coordinate volumes that are the rows of one quadrature.
 """
 from __future__ import annotations
 
@@ -35,9 +36,6 @@ from .errors import (
 from .params import BulkParams, QuadratureSpec
 
 DEFAULT_SPEC = QuadratureSpec()
-
-#: w below which the inverted-coordinate integral switches to a log grid.
-W_SPLIT = 0.5
 
 #: Relative threshold deciding whether an endpoint value of B is a zero.
 ENDPOINT_ZERO_TOL = 1e-11
@@ -148,52 +146,41 @@ def _integrate_r(cv, cm, hcoef, rp, zexp, lo, hi, spec):
 
 
 def _integrate_w(cvterm, bcoef, bm2, zexp, eps, spec):
-    """Quadrature of 1/(w^4 sqrt(b(w))) on [eps, 1].
+    """Quadrature of 1/(w^4 sqrt(b(w))) on [eps, 1], one row per entry of the 1-D eps.
 
-    b(w) = cvterm + bcoef*w^zexp - bm2/w^2. A zero of b at w = 1 (the
-    horizon image) is absorbed by the substitution w = 1 - (1 - split) s^2;
-    the steep w^-3 growth toward eps is handled on a logarithmic grid below
-    W_SPLIT.
+    b(w) = cvterm + bcoef*w^zexp - bm2/w^2. In s, w = eps^(s^2) is uniform in
+    u = -log w = lam s^2 toward eps, where the integrand 2 lam s e^(3u)/sqrt(b)
+    grows like w^-3, and the Jacobian absorbs a 1/sqrt zero of b at w = 1 (the
+    horizon image). An endpoint zero b(1) is set to 0, so b = b(1) + bcoef
+    expm1(-zexp u) - bm2 expm1(2u) has no cancellation near w = 1.
     """
     b_one = cvterm + bcoef - bm2
     scale = _scale(cvterm, bcoef, bm2)
     if b_one < -ENDPOINT_ZERO_TOL * scale:
         raise NonPositiveBlackeningError(f"integrand imaginary at w = 1: b(1) = {b_one}")
 
-    split = W_SPLIT if eps < 0.9 * W_SPLIT else eps
-
+    lam = -np.log(eps)[:, None]
     y0 = 0.0
     if abs(b_one) <= ENDPOINT_ZERO_TOL * scale:
-        bp_one = zexp * bcoef + 2.0 * bm2
+        b_one, bp_one = 0.0, zexp * bcoef + 2.0 * bm2
         if -bp_one <= 0.0:
             raise NonPositiveBlackeningError("degenerate zero of the integrand at w = 1")
-        y0 = 2.0 * math.sqrt((1.0 - split) / (-bp_one))
+        y0 = 2.0 * np.sqrt(lam[:, 0] / -bp_one)
 
-    def make_top(npts):
+    def make(npts):
         s = np.linspace(0.0, 1.0, npts)
-        y = kernels.wform_integrand_top(s, split, 2, cvterm, bcoef, bm2, zexp, y0)
+        u = lam * s * s
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            b = b_one + bcoef * np.expm1(-zexp * u) - bm2 * np.expm1(2.0 * u)
+            y = 2.0 * lam * s * np.exp(3.0 * u) / np.sqrt(b)
+        y[:, 0] = y0
         if not np.all(np.isfinite(y)):
             raise NonPositiveBlackeningError("integrand non-positive on the w grid")
         return y, s
 
-    value, err = kernels.refined_simpson(make_top, spec)
-
-    if split > eps:
-        ulo, uhi = math.log(eps), math.log(split)
-
-        def make_log(npts):
-            u = np.linspace(ulo, uhi, npts)
-            y = kernels.wform_integrand_log(u, cvterm, bcoef, bm2, zexp)
-            if not np.all(np.isfinite(y)):
-                raise NonPositiveBlackeningError("integrand non-positive on the w grid")
-            return y, u
-
-        v_log, e_log = kernels.refined_simpson(make_log, spec)
-        value += v_log
-        err += e_log
-
-    if err > spec.tolerance * abs(value):
-        raise ConvergenceError(f"w-coordinate quadrature stalled: error estimate {err:.3e}")
+    value, err = kernels.refined_simpson(make, spec)
+    if np.any(err > spec.tolerance * abs(value)):
+        raise ConvergenceError(f"w-coordinate quadrature stalled: error estimate {err.max():.3e}")
     return value, err
 
 
@@ -259,12 +246,12 @@ def volume_w_form(
         raise DomainError(f"unknown w-form mode {mode!r}")
 
     try:
-        raw, err = _integrate_w(cvterm, bcoef, bm2_gen, zexp, eps, spec)
+        (raw,), (err,) = _integrate_w(cvterm, bcoef, bm2_gen, zexp, np.array([eps]), spec)
     except NonPositiveBlackeningError as exc:
         if mode == "truncated" and not isinstance(exc, ImaginaryIntegrandError):
             raise ImaginaryIntegrandError(str(exc)) from exc
         raise
-    return VolumeResult(p.rp**3 * raw, p.rp**3 * err)
+    return VolumeResult(p.rp**3 * float(raw), p.rp**3 * float(err))
 
 
 def series_finite_part(b1: float, b_minus2: float, rp: float) -> float:
@@ -414,7 +401,8 @@ def fit_divergence_coefficient(p: BulkParams, spec: QuadratureSpec = DEFAULT_SPE
     Least squares over the basis {eps^-2, log eps, 1, eps^2, eps^3}, which
     is the exact small-eps structure of the integral, at the cutoffs
     DIVERGENCE_FIT_EPS: the fixed row DIVERGENCE_ROW dotted with the seven
-    volumes. The result should match rp^3/(2 sqrt(-b_minus2)).
+    volumes (rows of one quadrature). It should match rp^3/(2 sqrt(-b_minus2)).
     """
-    vols = np.array([volume_w_form(p, eps, spec=spec).value for eps in DIVERGENCE_FIT_EPS])
-    return float(DIVERGENCE_ROW @ vols)
+    cv, cm, hcoef, zexp = _param_coeffs(p)
+    raw, _ = _integrate_w(cv, hcoef, cm * p.rp**2, zexp, np.array(DIVERGENCE_FIT_EPS), spec)
+    return float(DIVERGENCE_ROW @ (p.rp**3 * raw))

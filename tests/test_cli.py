@@ -206,9 +206,11 @@ def test_unicode_and_alias_keys(tmp_path):
     ["sweep", "--axis", "Qt", "--from", "1", "--to", "2", "--points", "3", "--halfwidth", "3"],
     ["sweep", "--axis", "Qt", "--from", "1", "--to", "2", "--points", "3", "--N", "3"],
     ["sweep", "--from", "1", "--to", "2", "--points", "3"],  # missing axis
+    ["boundary", "--config", "{tmp}/binary.cfg"],            # not UTF-8
 ])
 def test_validation_failures_exit_1(tmp_path, capsys, args):
     (tmp_path / "file").write_text("")
+    (tmp_path / "binary.cfg").write_bytes(b"\x7fELF\x02\x01\x01\x00H = 1.0\n\xff\xfe\n")
     (tmp_path / "clash" / "boundary.json").mkdir(parents=True)
     (tmp_path / "clash" / "sweep.csv").mkdir()
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]

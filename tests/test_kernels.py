@@ -118,22 +118,6 @@ def _ref_volume_integrand_r(s, lo, span, mexp, cv, cm, hcoef, rp, zexp, y0):
     return y
 
 
-def _ref_wform_integrand_top(s, wlo, mexp, cvterm, bcoef, bm2, zexp, y0):
-    w = 1.0 - (1.0 - wlo) * s**mexp
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        b = cvterm + bcoef * w**zexp - bm2 / (w * w)
-        y = (mexp * (1.0 - wlo)) * s ** (mexp - 1) / (w**4 * np.sqrt(b))
-    y[0] = y0
-    return y
-
-
-def _ref_wform_integrand_log(u, cvterm, bcoef, bm2, zexp):
-    w = np.exp(u)
-    b = cvterm + bcoef * w**zexp - bm2 / (w * w)
-    with np.errstate(invalid="ignore"):
-        return 1.0 / (w**3 * np.sqrt(b))
-
-
 def _ref_gaussian_product(x, a, xa, b, xb):
     return np.exp(-0.5 * (a * (x - xa) ** 2 + b * (x - xb) ** 2))
 
@@ -144,7 +128,7 @@ def _assert_same_bits(got, want):
 
 
 def _bulk_draw(seed):
-    """Radial and w-form kernel inputs from a seeded bulk parameter draw.
+    """Radial kernel inputs from a seeded bulk parameter draw.
 
     z = 2 gives zexp = 2 (numpy's square fast path), z = 3 a non-integer zexp.
     """
@@ -199,32 +183,6 @@ def test_cached_radial_grid_is_read_only():
     for a in (s, *factors):
         with pytest.raises(ValueError):
             a[1] = 0.0
-
-
-@pytest.mark.parametrize("npts", GRID_SIZES)
-@pytest.mark.parametrize("mexp", [2, 3, 4])
-@pytest.mark.parametrize("seed", SEEDS)
-def test_wform_integrand_top_matches_out_of_place_bits(npts, mexp, seed):
-    rng, p, cv, cm, hcoef, zexp = _bulk_draw(seed)
-    args = (rng.uniform(0.01, 0.9), mexp, cv, hcoef, cm * p.rp**2, zexp,
-            rng.uniform(0.0, 5.0))
-    s = np.linspace(0.0, 1.0, npts)
-    before = s.copy()
-    got = kernels.wform_integrand_top(s, *args)
-    _assert_same_bits(s, before)
-    _assert_same_bits(got, _ref_wform_integrand_top(s, *args))
-
-
-@pytest.mark.parametrize("npts", GRID_SIZES)
-@pytest.mark.parametrize("seed", SEEDS)
-def test_wform_integrand_log_matches_out_of_place_bits(npts, seed):
-    rng, p, cv, cm, hcoef, zexp = _bulk_draw(seed)
-    args = (cv, hcoef, cm * p.rp**2, zexp)
-    u = np.linspace(np.log(rng.uniform(1e-4, 1e-2)), np.log(0.5), npts)
-    before = u.copy()
-    got = kernels.wform_integrand_log(u, *args)
-    _assert_same_bits(u, before)
-    _assert_same_bits(got, _ref_wform_integrand_log(u, *args))
 
 
 @pytest.mark.parametrize("npts", GRID_SIZES)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from lifshitz_fidelity import BosonGasParams, BulkParams, DomainError, QuadratureSpec
+from lifshitz_fidelity import BosonGasParams, BulkParams, DomainError, QuadratureSpec, kernels
 
 
 @pytest.mark.parametrize("field,value", [
@@ -53,6 +53,9 @@ def test_bulk_complexity_radius_defaults_to_curvature_scale():
     {"panels": 32}, {"tolerance": 0.0}, {"halfwidth": 0.0},
     {"halfwidth": float("nan")}, {"tolerance": float("nan")}, {"halfwidth": -1.0},
     {"tolerance": math.inf}, {"halfwidth": math.inf},
+    # the first grid, 4*panels + 1 points, would exceed kernels.MAX_GRID_POINTS;
+    # the spec rejects it before any grid is allocated
+    {"panels": (kernels.MAX_GRID_POINTS - 1) // 4 + 1}, {"panels": 10**9},
 ])
 def test_quadrature_spec_validation(kw):
     with pytest.raises(DomainError):

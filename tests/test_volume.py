@@ -12,11 +12,13 @@ from lifshitz_fidelity import (
     ConstraintError,
     DomainError,
     ImaginaryIntegrandError,
+    LifshitzFidelityError,
     NonPositiveBlackeningError,
     QuadratureSpec,
     background_volume,
     complexity,
     fit_divergence_coefficient,
+    kernels,
     series_divergent_part,
     series_finite_part,
     subtracted_susceptibility,
@@ -62,14 +64,38 @@ def test_volume_exact_near_series_at_unit_coefficient_ratio(make_bulk):
     assert abs(v_exact - series.value) <= 0.7 * abs(finite)
 
 
-def test_change_of_variables_identity(make_bulk):
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        p = random_bulk(rng, make_bulk)
-        r_inf = p.rp * rng.uniform(5.0, 50.0)
-        v_r = volume_exact(p, r_inf)
-        v_w = volume_w_form(p, p.rp / r_inf, "full-B")
-        assert abs(v_r.value - v_w.value) <= 1e-8 * abs(v_r.value)
+@settings(max_examples=100, deadline=None)
+@given(lambda_eff=st.floats(-10.0, -0.5), rp=st.floats(0.3, 3.0), V0=st.floats(-3.0, 3.0),
+       L=st.floats(0.5, 2.0), eps=st.floats(1e-4, 0.99))
+def test_change_of_variables_identity(lambda_eff, rp, V0, L, eps):
+    # on random_bulk's domain with a genuine horizon, the w-form at eps either
+    # equals the radial volume out to rp/eps or raises a named error
+    p = _bulk(lambda_eff=lambda_eff, rp=rp, V0=V0, L=L)
+    assume(blackening_derivative(p.rp, p) > 0.1 * (-curvature_coefficient(p)) * p.rp)
+    try:
+        v_r = volume_exact(p, p.rp / eps).value
+        v_w = volume_w_form(p, eps, "full-B").value
+    except LifshitzFidelityError:
+        return
+    assert abs(v_r - v_w) <= 1e-8 * abs(v_r)
+
+
+#: rp^3 int_eps^1 dw/(w^4 sqrt(b)) near the horizon, from mpmath at 40 digits
+#: with the cancellation-free integrand of perfbench/make_reference.py (b(1) = 0
+#: exactly, w = 1 - t^2, differences through expm1/log1p)
+W_FORM_NEAR_HORIZON = [
+    ((-5.0, 1.0, 0.0), 0.99, 0.090652509204746593),
+    ((-5.0, 1.0, 0.0), 0.999999, 8.9442838358406327e-4),
+    ((-2.0, 1.7, 4.0), 0.99, 0.35719946914752167),
+    ((-2.0, 1.7, 4.0), 0.999999, 3.5227965226311447e-3),
+    ((-8.0, 0.6, -2.0), 0.99, 0.031904336167057883),
+    ((-8.0, 0.6, -2.0), 0.999999, 3.1506877380009073e-4),
+]
+
+
+@pytest.mark.parametrize("args,eps,want", W_FORM_NEAR_HORIZON)
+def test_w_form_near_the_horizon_matches_mpmath(args, eps, want):
+    assert volume_w_form(_bulk(*args), eps, "full-B").value == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_w_form_analytic_value_at_b1_zero(make_bulk):
@@ -122,6 +148,18 @@ def test_fitted_divergence_coefficient_matches_closed_form(make_bulk):
         fitted = fit_divergence_coefficient(p)
         target = p.rp**3 / (2.0 * math.sqrt(-series_coeffs_z4(p).b_minus2))
         assert abs(fitted - target) <= 1e-6 * target
+
+
+def test_divergence_fit_is_one_quadrature_of_the_scalar_volumes(make_bulk, monkeypatch):
+    calls = []
+    simpson = kernels.refined_simpson
+    monkeypatch.setattr(kernels, "refined_simpson", lambda *a: calls.append(1) or simpson(*a))
+    for p in (make_bulk(-5.0, 1.0, 0.0), make_bulk(-3.0, 1.4, 2.0), make_bulk(-8.0, 0.6, -2.0)):
+        calls.clear()
+        fitted = fit_divergence_coefficient(p)
+        assert len(calls) == 1
+        vols = np.array([volume_w_form(p, eps).value for eps in volume.DIVERGENCE_FIT_EPS])
+        assert fitted == pytest.approx(volume.DIVERGENCE_ROW @ vols, rel=1e-13, abs=0)
 
 
 def test_divergence_row_is_the_pseudoinverse_row():
