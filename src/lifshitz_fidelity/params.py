@@ -120,7 +120,7 @@ class QuadratureSpec:
     halfwidth  Gaussian-grid half width in units of sigma
 
     The bulk quadratures absorb inverse-square-root endpoint singularities
-    with fixed substitutions (r = lo + (hi - lo) s^2 on the radial grid,
+    with fixed substitutions (r = rp + (r_inf - rp) s^2 on the radial grid,
     w = eps^(s^2) on the w grid), whose endpoint limits are derived in closed form.
     """
 

@@ -11,16 +11,20 @@ map w = eps^(s^2), and the z = 4 truncated closed form
     A = 640 b_minus2^3 (b1 - 3 b_minus2).
 
 Complexity is V/(8 pi R G); the divergent eps^-2 (equivalently r_inf^2)
-piece is removed by subtracting the horizonless background at matched
-r_inf, which also cancels the subleading log when V0 != 0. That difference
-is one integral with no cancellation, its cutoffs and limit rows of a single
-quadrature; the eps^-2 fit is one fixed row of its least-squares operator,
-applied to w-coordinate volumes that are the rows of one quadrature.
+piece is removed by subtracting the horizonless background B_bg = cv + c r^2
+(c = -cm > 0) at matched r_inf, which also cancels the subleading log when
+V0 != 0. The background volume is the closed form r sqrt(B_bg)/(2c) -
+cv T/(2 c^(3/2)), T = asinh(r sqrt(c/cv)), 0 or acosh(r/r_min) for cv > 0,
+= 0 or < 0 (background_volume). The difference is one integral with no
+cancellation, its cutoffs and limit rows of a single quadrature; the eps^-2
+fit is one fixed row of its least-squares operator, applied to w-coordinate
+volumes that are the rows of one quadrature.
 """
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +56,9 @@ DIVERGENCE_ROW = np.array([
     5.947294075179701e-05, -4.692602101471767e-05, -0.00011307675861925141,
     8.446824100816474e-05,
 ])
+
+#: background_volume sums its series below x = r sqrt(c/cv) = BG_SERIES_X.
+BG_SERIES_X = 1.0
 
 #: IR cutoffs r_inf / rp of the background subtraction, increasing.
 SUBTRACTION_FACTORS = (50.0, 100.0, 200.0, 400.0)
@@ -96,42 +103,35 @@ def _scale(*vals):
 
 
 @functools.lru_cache(maxsize=1)
-def _radial_grid(npts, lo, span, rp, zexp):
+def _radial_grid(npts, span, rp, zexp):
     """The s grid of _integrate_r and its radial factors, read-only. They do
     not depend on cv, cm or hcoef, so the points of a bulk sweep that keeps
     rp and r_inf share one grid."""
     s = np.linspace(0.0, 1.0, npts)
-    factors = kernels.radial_factors(s, lo, span, 2, rp, zexp)
+    factors = kernels.radial_factors(s, rp, span, 2, rp, zexp)
     for a in (s, *factors):
         a.flags.writeable = False
     return s, factors
 
 
-def _integrate_r(cv, cm, hcoef, rp, zexp, lo, hi, spec):
-    """Radial quadrature of r^2/sqrt(B) on [lo, hi] for the parametric B,
-    in s with r = lo + (hi - lo) s^2."""
-    if hi < lo:
-        raise DomainError("upper limit below lower limit")
-    if hi == lo:
-        return 0.0, 0.0
-    if lo == 0.0 and hcoef != 0.0:
-        raise DomainError("horizon term diverges at r = 0")
-    span = hi - lo
-    ratio = (rp / lo) ** zexp if hcoef else 0.0  # unused, and may overflow, for a tiny lo
-    b_lo = float(cv + ratio * hcoef - cm * lo * lo)
+def _integrate_r(cv, cm, hcoef, rp, zexp, hi, spec):
+    """Radial quadrature of r^2/sqrt(B) on [rp, hi] for the parametric B,
+    in s with r = rp + (hi - rp) s^2."""
+    span = hi - rp
+    b_lo = float(cv + hcoef - cm * rp * rp)
     scale = _scale(cv, cm * hi * hi, hcoef)
     if b_lo < -ENDPOINT_ZERO_TOL * scale:
-        raise NonPositiveBlackeningError(f"B({lo}) = {b_lo} < 0 at the lower endpoint")
+        raise NonPositiveBlackeningError(f"B({rp}) = {b_lo} < 0 at the lower endpoint")
 
     y0 = 0.0
-    if abs(b_lo) <= ENDPOINT_ZERO_TOL * scale and lo > 0.0:
-        bp = -zexp * ratio * hcoef / lo - 2.0 * cm * lo
+    if abs(b_lo) <= ENDPOINT_ZERO_TOL * scale:
+        bp = -zexp * hcoef / rp - 2.0 * cm * rp
         if bp <= 0.0:
             raise NonPositiveBlackeningError("degenerate horizon: B'(rp) <= 0")
-        y0 = 2.0 * lo * lo * math.sqrt(span / bp)
+        y0 = 2.0 * rp * rp * math.sqrt(span / bp)
 
     def make(npts):
-        s, factors = _radial_grid(npts, lo, span, rp, zexp)
+        s, factors = _radial_grid(npts, span, rp, zexp)
         y = kernels.radial_integrand(factors, cv, cm, hcoef, y0)
         if not np.all(np.isfinite(y)):
             raise NonPositiveBlackeningError(
@@ -197,25 +197,55 @@ def volume_exact(p: BulkParams, r_inf: float, spec: QuadratureSpec = DEFAULT_SPE
     if not (math.isfinite(r_inf) and r_inf > p.rp):
         raise DomainError(f"r_inf must be finite and exceed rp={p.rp}, got {r_inf}")
     cv, cm, hcoef, zexp = _param_coeffs(p)
-    return VolumeResult(*_integrate_r(cv, cm, hcoef, p.rp, zexp, p.rp, r_inf, spec))
+    return VolumeResult(*_integrate_r(cv, cm, hcoef, p.rp, zexp, r_inf, spec))
 
 
-def background_volume(p: BulkParams, r_inf: float, spec: QuadratureSpec = DEFAULT_SPEC) -> VolumeResult:
-    """Volume of the horizonless background B_bg(r) = cv - cm r^2.
+def background_volume(p: BulkParams, r_inf: float) -> VolumeResult:
+    """Volume of the horizonless background B_bg(r) = cv + c r^2, c = -cm > 0,
+    from r_min = 0 (cv >= 0) or r_min = sqrt(-cv/c) (cv < 0), in closed form:
 
-    Integrates from r = 0 when B_bg(0) >= 0, otherwise from the background's
-    own zero sqrt(cv/cm). Shares the r_inf^2 divergence coefficient with the
-    deformed geometry.
+        V_bg(r) = r sqrt(B_bg(r)) / (2c) - cv T / (2 c^(3/2)),
+
+    T = asinh(x), x = r sqrt(c/cv), for cv > 0; 0 for cv = 0; acosh(r/r_min)
+    = log1p(d + sqrt(d) sqrt(2 + d)), d = r/r_min - 1, for cv < 0, with
+    sqrt(B_bg) = sqrt(c (r - r_min)) sqrt(r + r_min), so r -> r_min keeps full
+    precision. Below x = BG_SERIES_X the two terms cancel, and the positive
+    series r^3/sqrt(B_bg) sum_k z^k/((2k + 1)(2k + 3)), z = x^2/(1 + x^2) <= 1/2,
+    replaces them (48 terms leave a tail below 1e-17). Square roots come before
+    quotients, so a subnormal cv overflows no x and flushes no r_min. The
+    estimate, 16 eps |value|, bounds the rounding (about 12 eps at worst).
     """
-    cv, cm, _, zexp = _param_coeffs(p)
+    if not math.isfinite(r_inf):
+        raise DomainError(f"r_inf must be finite, got {r_inf}")
+    cv, cm, _, _ = _param_coeffs(p)
     if cm >= 0:
         raise NonPositiveBlackeningError(
             "background volume requires Lambda + Qt^2 xi < 0"
         )
-    r_min = 0.0 if cv >= 0 else math.sqrt(cv / cm)
+    c = -cm
+    sc = math.sqrt(c)
+    r_min = math.sqrt(-cv) / sc if cv < 0 else 0.0
     if r_inf < r_min:
         raise DomainError(f"r_inf={r_inf} below the background lower limit {r_min}")
-    return VolumeResult(*_integrate_r(cv, cm, 0.0, p.rp, zexp, r_min, r_inf, spec))
+    r = float(r_inf)
+    if cv > 0:
+        x = r * sc / math.sqrt(cv)
+        root_b = math.sqrt(cv + c * r * r)
+        if x < BG_SERIES_X:
+            z, total = x * x / (1.0 + x * x), 0.0
+            for k in range(47, -1, -1):
+                total = total * z + 1.0 / ((2 * k + 1) * (2 * k + 3))
+            value = r / root_b * r * r * total
+        else:
+            value = (r * root_b - cv / sc * math.asinh(x)) / (2.0 * c)
+    elif cv == 0:
+        value = r * r / (2.0 * sc)
+    else:
+        d = (r - r_min) / r_min
+        acosh = math.log1p(d + math.sqrt(d) * math.sqrt(2.0 + d))
+        root_b = math.sqrt(c * (r - r_min)) * math.sqrt(r + r_min)
+        value = (r * root_b - cv / sc * acosh) / (2.0 * c)
+    return VolumeResult(value, 16.0 * sys.float_info.epsilon * abs(value))
 
 
 def volume_w_form(
@@ -343,7 +373,7 @@ def _subtracted_volumes(p: BulkParams, eps, spec: QuadratureSpec) -> np.ndarray:
         return np.zeros(eps.shape)  # the geometries coincide
     r_min = math.sqrt(cv / cm) if cv < 0 else 0.0
     if r_min <= p.rp:  # slope and lead: sb^2 ~ -slope (w0 - w), sg^2 -> lead at w0
-        below, w0 = -background_volume(p, p.rp, spec).value, 1.0
+        below, w0 = -background_volume(p, p.rp).value, 1.0
         slope, lead = 2.0 * cv + top * hcoef, cv - cmr2
     else:  # sg^2 ~ -slope (w0 - w), sb^2 -> lead
         below, w0 = volume_exact(p, r_min, spec).value, p.rp / r_min

@@ -90,8 +90,9 @@ def test_refined_simpson_stops_at_max_grid_points():
 
 
 def test_radial_quadrature_reports_the_capped_estimate_as_stalled(monkeypatch):
-    # B = r^2 - 1 just above its zero at r = 1: the 1/sqrt(B) shoulder at the
-    # lower endpoint is too narrow for any grid to reach tolerance 1e-14
+    # a near-degenerate horizon: B = -1 - h + h/r^3 + r^2 with h = (2 - 1e-3)/3
+    # has B(1) = 0 and B'(1) = 1e-3, so 1/sqrt(B) keeps a narrow shoulder
+    # above rp = 1 that no grid resolves to tolerance 1e-14
     calls = []
     refined_simpson = kernels.refined_simpson
 
@@ -99,9 +100,9 @@ def test_radial_quadrature_reports_the_capped_estimate_as_stalled(monkeypatch):
         return refined_simpson(lambda n: calls.append(n) or make(n), spec)
 
     monkeypatch.setattr(kernels, "refined_simpson", counted)
+    h = (2.0 - 1e-3) / 3.0
     with pytest.raises(ConvergenceError):
-        volume._integrate_r(-1.0, -1.0, 0.0, 1.0, 3.0, 1.0 + 1e-9, 10.0,
-                            QuadratureSpec(tolerance=1e-14))
+        volume._integrate_r(-1.0 - h, -1.0, h, 1.0, 3.0, 10.0, QuadratureSpec(tolerance=1e-14))
     assert calls[-1] == kernels.MAX_GRID_POINTS
 
 
@@ -179,7 +180,7 @@ def test_radial_kernels_match_out_of_place_bits_at_block_edges(npts, mexp):
 
 
 def test_cached_radial_grid_is_read_only():
-    s, factors = volume._radial_grid(257, 1.0, 99.0, 1.0, 3.0)
+    s, factors = volume._radial_grid(257, 99.0, 1.0, 3.0)
     for a in (s, *factors):
         with pytest.raises(ValueError):
             a[1] = 0.0

@@ -1,11 +1,11 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from lifshitz_fidelity import (
     BulkParams,
@@ -238,7 +238,7 @@ def test_complexity_of_series_volume(make_bulk):
 
 def test_background_analytic_value_without_potential(make_bulk):
     # V0 = 0: B_bg = -cm r^2, so V = (r_inf^2 - r_min^2) / (2 sqrt(-cm)) with r_min = 0;
-    # at V0 = -1e-300, r_min = 4e-151 and (rp / r_min)^(1+z/2) would overflow
+    # at V0 = -1e-300, r_min = 4e-151 and its acosh term is below 1e-296 relative
     for V0 in (0.0, -1e-300):
         p = make_bulk(lambda_eff=-5.0, V0=V0)
         cm = curvature_coefficient(p)
@@ -247,11 +247,80 @@ def test_background_analytic_value_without_potential(make_bulk):
         assert res.value == pytest.approx(r_inf**2 / (2 * math.sqrt(-cm)), rel=1e-10)
 
 
-def test_background_starts_at_its_own_zero_for_negative_potential(make_bulk):
-    p = make_bulk(lambda_eff=-5.0, V0=-6.0)  # B_bg(0) = -1 < 0, zero at r = 1
-    res = background_volume(p, 50.0)
-    oracle, _ = quad(lambda r: r * r / math.sqrt(r * r - 1.0), 1.0, 50.0, points=[1.0], limit=400)
-    assert res.value == pytest.approx(oracle, rel=1e-8)
+def _mpmath_background(cv, c, r_min, r_inf):
+    """40-digit quadrature of r^2/sqrt(cv + c r^2) from r_min to r_inf at the
+    float cv, c and r_inf, scaled so that the integrand is O(1) on [0, 1]
+    (mpmath's quad stops on an absolute error estimate). For cv < 0 the
+    background is written through the float r_min, B_bg = c (r - r_min)(r + r_min),
+    and r = r_min + (r_inf - r_min) u^2 absorbs its zero."""
+    with mpmath.workdps(40):
+        c, big_r = mpmath.mpf(c), mpmath.mpf(r_inf)
+        if cv < 0:
+            span = big_r - r_min
+            m, rest = r_min / big_r, span / big_r  # r / r_inf = m + rest u^2
+            integral = mpmath.quad(lambda u: (m + rest * u * u) ** 2 / mpmath.sqrt(2 * m + rest * u * u),
+                                   [0, min(mpmath.sqrt(m), 1), 1])
+            return float(2 * mpmath.sqrt(span) * big_r**1.5 / mpmath.sqrt(c) * integral)
+        b = cv + c * big_r**2
+        z0, z1 = cv / b, c * big_r**2 / b  # B_bg(r_inf u) / B_bg(r_inf) = z0 + z1 u^2
+        integral = mpmath.quad(lambda u: u * u / mpmath.sqrt(z0 + z1 * u * u),
+                               [0, min(mpmath.sqrt(z0 / z1), 1), 1])
+        return float(big_r**3 / mpmath.sqrt(b) * integral)
+
+
+def test_background_volume_matches_mpmath(make_bulk):
+    # the closed form over V0 down to the smallest subnormal, both signs, and
+    # r_inf from r_min (1 + 1e-12) to 400 rp, with x = r sqrt(c/cv) on both
+    # sides of the series threshold. Near r_min the volume's condition number
+    # is about 1/d, d = r_inf/r_min - 1, so a reference at the exact cv would
+    # measure the rounding of r_min: the reference takes the program's float
+    # r_min instead. Values below the smallest normal float carry fewer than 53
+    # bits and are skipped.
+    rng = np.random.default_rng(7)
+    small = 10.0 ** rng.uniform(-300.0, -1.0, 4)
+    potentials = [0.0, 1e-300, -1e-300, 2.225e-309, -2.225e-309, 5e-324, -5e-324,
+                  *small, *-small, 0.5, -0.5, 2.0, -6.0]
+    for lambda_eff, rp, V0 in [(-5.0, 1.0, v) for v in potentials] + [(-1.3, 2.4, 1.7), (-8.0, 0.4, -0.3)]:
+        p = make_bulk(lambda_eff=lambda_eff, rp=rp, V0=V0)
+        cv, c = potential_coefficient(p), -curvature_coefficient(p)
+        r_min = math.sqrt(-cv) / math.sqrt(c) if cv < 0 else 0.0
+        r_vals = [rp, 50.0 * rp, 400.0 * rp]
+        if cv > 0:
+            knee = volume.BG_SERIES_X * math.sqrt(cv) / math.sqrt(c)
+            r_vals += [0.1 * knee, knee * (1 - 1e-12), knee * (1 + 1e-12), 3.0 * knee]
+        if cv < 0:
+            r_vals += [r_min * (1 + 1e-12), r_min * (1 + 1e-6), 2.0 * r_min]
+        for r_inf in r_vals:
+            if r_inf < r_min:
+                continue
+            want = _mpmath_background(cv, c, r_min, r_inf)
+            if want < sys.float_info.min:
+                continue
+            got = background_volume(p, r_inf)
+            assert got.value == pytest.approx(want, rel=1e-14, abs=0.0)
+            assert abs(got.value - want) <= got.error_estimate
+    # V0 = -6 at lambda_eff = -5: B_bg = r^2 - 1, so V = (r sqrt(r^2 - 1) + acosh r) / 2
+    p = make_bulk(lambda_eff=-5.0, V0=-6.0)
+    exact = (50.0 * math.sqrt(2499.0) + math.acosh(50.0)) / 2
+    assert background_volume(p, 50.0).value == pytest.approx(exact, rel=1e-14)
+
+
+def test_background_volume_is_closed_form(make_bulk, monkeypatch):
+    def no_quadrature(make, spec):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr(kernels, "refined_simpson", no_quadrature)
+    for V0 in (2.0, 0.0, -2.0):
+        assert background_volume(make_bulk(lambda_eff=-5.0, V0=V0), 40.0).value > 0.0
+    with pytest.raises(TypeError):
+        background_volume(make_bulk(), 40.0, QuadratureSpec())
+
+
+@pytest.mark.parametrize("r_inf", [math.nan, math.inf, -math.inf])
+def test_background_rejects_non_finite_cutoff(make_bulk, r_inf):
+    for V0 in (2.0, 0.0, -2.0):
+        with pytest.raises(DomainError):
+            background_volume(make_bulk(lambda_eff=-5.0, V0=V0), r_inf)
 
 
 def test_background_degenerate_interval(make_bulk):
@@ -337,17 +406,25 @@ def _mpmath_subtracted(p):
     return values
 
 
-@pytest.mark.parametrize("lambda_eff,rp,V0,z", [
-    (-4.0, 1.0, 0.0, 4.0), (-4.0, 1.0, -0.5, 4.0), (-4.0, 1.0, 0.5, 4.0), (-4.0, 1.0, 2.0, 4.0),
-    (-5.0, 1.0, 0.0, 4.0), (-5.0, 1.3, -2.1, 4.0),
-    (-5.0, 1.0, -9.0, 4.0),  # the background's own zero r_min = sqrt(cv/cm) lies above rp
-    (-4.0, 1.0, 0.0, 1.0), (-4.0, 1.0, 1.0, 2.5), (-4.0, 1.0, -1.0, 7.0), (-4.0, 2.0, -2.0, 1.0),
-])
-def test_subtraction_matches_mpmath(make_bulk, lambda_eff, rp, V0, z):
-    p = make_bulk(lambda_eff, rp, V0, z=z)
+SUBTRACTION_CASES = [  # lambda_eff, rp, V0, z, L
+    (-4.0, 1.0, 0.0, 4.0, 1.0), (-4.0, 1.0, -0.5, 4.0, 1.0), (-4.0, 1.0, 0.5, 4.0, 1.0),
+    (-4.0, 1.0, 2.0, 4.0, 1.0), (-5.0, 1.0, 0.0, 4.0, 1.0), (-5.0, 1.3, -2.1, 4.0, 1.0),
+    (-5.0, 1.0, -9.0, 4.0, 1.0),  # the background's own zero r_min = sqrt(cv/cm) lies above rp
+    (-4.0, 1.0, 0.0, 1.0, 1.0), (-4.0, 1.0, 1.0, 2.5, 1.0), (-4.0, 1.0, -1.0, 7.0, 1.0),
+    (-4.0, 2.0, -2.0, 1.0, 1.0),
+    # 0 < V0 << 1: the background integrand turns over at r ~ sqrt(-cv/cm), below
+    # r_inf, and at V0 = 4.2e-8 its volume up to rp is the whole below-r0 term
+    (-8.51, 1.72, 3.47e-5, 4.0, 1.09), (-1.0, 1.0, 0.0039, 4.0, 1.0), (-5.0, 1.0, 4.2e-8, 4.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("lambda_eff,rp,V0,z,L", SUBTRACTION_CASES,  # the ids omit L = 1
+                         ids=["-".join(map(str, c if c[4] != 1.0 else c[:4])) for c in SUBTRACTION_CASES])
+def test_subtraction_matches_mpmath(make_bulk, lambda_eff, rp, V0, z, L):
+    p = make_bulk(lambda_eff, rp, V0, z=z, L=L)
     sweep = subtracted_susceptibility(p)
     for got, want in zip(sweep.values + (sweep.limit,), _mpmath_subtracted(p)):
-        assert got == pytest.approx(want, rel=2e-11)
+        assert got == pytest.approx(want, rel=2e-11, abs=0.0)
 
 
 def test_subtraction_limit_beta_function_at_zero_potential():
@@ -362,17 +439,28 @@ def test_subtraction_limit_beta_function_at_zero_potential():
 @settings(max_examples=200, deadline=None)
 @given(lam=st.floats(0.5, 10.0), rp=st.floats(0.3, 3.0), V0=st.floats(-3.0, 3.0),
        L=st.floats(0.5, 2.0))
+@example(lam=6.5, rp=0.359375, V0=-1.5, L=1.0)
+@example(lam=0.5, rp=1.451171875, V0=-2.04296875, L=1.0)
+@example(lam=1.0, rp=1.0, V0=2.225073858507203e-309, L=1.0)
+@example(lam=1.0, rp=1.0, V0=-2.225073858507203e-309, L=1.0)
 def test_subtraction_matches_difference_of_volumes(lam, rp, V0, L):
     # the reference is the difference of the two divergent volumes at each
-    # cutoff; the bound is 4x the sum of their error estimates, which
-    # understate the error by up to 2.4x where 0 < V0 << 1 (background
-    # integrand r^2/sqrt(cv - cm r^2) turns over at r ~ sqrt(-cv/cm))
+    # cutoff: a radial quadrature on 16x the default panels minus the
+    # background's closed form, exact to rounding. The bound is 4x the
+    # background's estimate plus the estimate of the same quadrature on 4x the
+    # default panels (about 256x below the default one's), which covers the
+    # finer value's error but not always its own: near a degenerate horizon
+    # (second example, B'(rp) = 0.15 c rp) the 4x and default quadratures both
+    # read 1.9e-15 relative at r_inf = 400 rp and are 1.2e-13 off mpmath, and
+    # at the first example the default one understates its error 7x
     p = _bulk(lambda_eff=-lam, rp=rp, V0=V0, L=L)
     assume(blackening_derivative(p.rp, p) > 0.1 * (-curvature_coefficient(p)) * p.rp)
     sweep = subtracted_susceptibility(p)
     for r_inf, value in zip(sweep.cutoffs, sweep.values):
-        v, bg = volume_exact(p, r_inf), background_volume(p, r_inf)
-        bound = 4 * complexity(v.error_estimate + bg.error_estimate, p)
+        v = volume_exact(p, r_inf, QuadratureSpec(panels=1024))
+        v_err = volume_exact(p, r_inf, QuadratureSpec(panels=256)).error_estimate
+        bg = background_volume(p, r_inf)
+        bound = 4 * complexity(v_err + bg.error_estimate, p)
         assert abs(value - complexity(v.value - bg.value, p)) <= bound
 
 
