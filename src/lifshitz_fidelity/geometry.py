@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import ConstraintError, DomainError, SingularityError
 from .params import BulkParams
 
@@ -55,9 +54,8 @@ def blackening(r, p: BulkParams):
         raise DomainError("blackening requires r > 0")
     cv = potential_coefficient(p)
     cm = curvature_coefficient(p)
-    out = kernels.blackening_vals(
-        np.atleast_1d(arr), cv, cm, falloff_coefficient(p), p.rp, 1.0 + p.z / 2.0
-    )
+    r = np.atleast_1d(arr)
+    out = cv + (p.rp / r) ** (1.0 + p.z / 2.0) * falloff_coefficient(p) - cm * r * r
     return float(out[0]) if arr.ndim == 0 else out
 
 

@@ -1,36 +1,32 @@
 """Hot numeric kernels, vectorized with numpy.
 
-Inner loops that dominate runtime: blackening-factor evaluation, the
-singular-endpoint radial volume integrand, the Gaussian overlap product and
-overlap deficit, composite Simpson summation, and the adaptive refinement
-driver built on it. Per-kernel timings come from `python3 perfbench/run.py`
-(see perfbench/README.md).
+Inner loops that dominate runtime: the singular-endpoint radial volume
+integrand, the Gaussian overlap product and overlap deficit, composite
+Simpson summation, and the adaptive refinement driver built on it, which owns
+the quadratures' convergence contract. Per-kernel timings come from
+`python3 perfbench/run.py` (see perfbench/README.md).
 
 The radial volume integrand is split in two. radial_factors builds the
 arrays that depend only on the grid (r, the Jacobian times r^2, and
 (rp/r)^zexp), which a caller may cache and reuse across parameter points;
 radial_integrand runs the per-point pass over them RADIAL_BLOCK points at a
 time, with two block-sized scratch arrays, so its working set stays in
-cache. volume_integrand_r composes the two. The other grid kernels (the
-Gaussian product and the overlap deficit) evaluate in place: each allocates
-its output and at most two scratch arrays of the grid's shape. No kernel
-writes into the grid it is given. All of them apply the same ufuncs to the
-same operands in the same order as the plain expressions they stand for
-(kept in tests/test_kernels.py as references), so every value is
-bit-identical; `**` with a scalar exponent stays an operator so numpy's
-square, sqrt and copy fast paths still apply. The Gaussian kernels and
-`simpson` also take a (rows x n) grid with per-row parameters as (rows x 1)
-columns, and each row keeps the bits of a one-row call when the grid is
-C-ordered.
+cache. The other grid kernels (the Gaussian product and the overlap
+deficit) evaluate in place: each allocates its output and at most two
+scratch arrays of the grid's shape. No kernel writes into the grid it is
+given. All of them apply the same ufuncs to the same operands in the same
+order as the plain expressions they stand for (kept in tests/test_kernels.py
+as references), so every value is bit-identical; `**` with a scalar exponent
+stays an operator so numpy's square fast path still applies. The
+Gaussian kernels and `simpson` also take a (rows x n) grid with per-row
+parameters as (rows x 1) columns, and each row keeps the bits of a one-row
+call when the grid is C-ordered.
 """
 from __future__ import annotations
 
 import numpy as np
 
-
-def blackening_vals(r, cv, cm, hcoef, rp, zexp):
-    return cv + (rp / r) ** zexp * hcoef - cm * r * r
-
+from .errors import ConvergenceError
 
 #: Points per block of radial_integrand's pass, so that its two scratch blocks
 #: and the slices it reads stay in cache. On a 262145-point grid (2-vCPU VM),
@@ -39,17 +35,16 @@ def blackening_vals(r, cv, cm, hcoef, rp, zexp):
 RADIAL_BLOCK = 16384
 
 
-def radial_factors(s, lo, span, mexp, rp, zexp):
-    """The factors of volume_integrand_r that depend only on the grid:
-    (r, jr2, ratio) with r = lo + span*s^mexp, jr2 = s^(mexp-1)*(mexp*span)*r*r
-    and ratio = (rp/r)^zexp. The map takes s in [0,1] onto [lo, lo+span]; the
-    s^(mexp-1) Jacobian absorbs an inverse-sqrt zero of B at the lower endpoint."""
-    r = s**mexp
+def radial_factors(s, span, rp, zexp):
+    """The factors of the radial volume integrand that depend only on the grid:
+    (r, jr2, ratio) with r = rp + span*s^2, jr2 = s*(2*span)*r*r and
+    ratio = (rp/r)^zexp. The map takes s in [0,1] onto [rp, rp+span]; the
+    Jacobian's factor s absorbs an inverse-sqrt zero of B at rp."""
+    r = s**2
     r *= span
-    r += lo
+    r += rp
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        jr2 = s ** (mexp - 1)
-        jr2 *= mexp * span
+        jr2 = s * (2 * span)
         jr2 *= r
         jr2 *= r
         ratio = np.divide(rp, r)
@@ -74,10 +69,6 @@ def radial_integrand(factors, cv, cm, hcoef, y0):
             np.divide(jr2[blk], np.sqrt(bb, out=bb), out=y[blk])
     y[0] = y0
     return y
-
-
-def volume_integrand_r(s, lo, span, mexp, cv, cm, hcoef, rp, zexp, y0):
-    return radial_integrand(radial_factors(s, lo, span, mexp, rp, zexp), cv, cm, hcoef, y0)
 
 
 def gaussian_product(x, a, xa, b, xb):
@@ -127,15 +118,16 @@ def refined_simpson(make_grid, spec):
     make_grid(n_points) must return (y, x): integrand values on the uniform
     abscissae x, either 1-D or one row per integral (rows x n_points, C
     order). The first call is on 4*panels + 1 points; each step sums Simpson
-    on that grid and on its even subsample and extrapolates. The grid then
-    doubles (2n - 1 points) until every row's estimate is within
-    tolerance * |value|, even a 1e-7 one, or until the next grid would exceed
-    MAX_GRID_POINTS; the last step's (value, error_estimate) is returned
-    either way, so the caller decides whether it converged. Values are floats
-    for a 1-D grid and arrays (one per row) otherwise. The error estimate is
-    |fine - coarse|/15, the error of the un-extrapolated fine sum: an upper
-    bound for the extrapolated value, often a loose one (at the bulk defaults
-    it is 1.7e-7, while the value is within 1e-12 of a converged one).
+    on that grid and on its even subsample and extrapolates. The grid doubles
+    (2n - 1 points) until every row's error estimate is within
+    tolerance * |value|, even a 1e-7 one; that step's (value, error_estimate)
+    is returned, as floats for a 1-D grid and arrays (one per row) otherwise.
+    If the next grid would exceed MAX_GRID_POINTS first, it raises
+    ConvergenceError naming the last grid size, the worst row's error
+    estimate and that row's bound. The error estimate is |fine - coarse|/15,
+    the error of the un-extrapolated fine sum: an upper bound for the
+    extrapolated value, often a loose one (at the bulk defaults it is 1.7e-7,
+    while the value is within 1e-12 of a converged one).
     """
     n = 4 * spec.panels + 1
     while True:
@@ -145,8 +137,15 @@ def refined_simpson(make_grid, spec):
         fine = simpson(y, h)
         err = abs(fine - coarse) / 15.0
         value = fine + (fine - coarse) / 15.0
-        if np.all(err <= spec.tolerance * abs(value)) or 2 * n - 1 > MAX_GRID_POINTS:
+        bound = spec.tolerance * abs(value)
+        if np.all(err <= bound):
             break
+        if 2 * n - 1 > MAX_GRID_POINTS:
+            err, bound = np.atleast_1d(err), np.atleast_1d(bound)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                k = np.argmax(err / bound)  # the worst row
+            raise ConvergenceError(f"quadrature stalled at {n} points: error estimate "
+                                   f"{err[k]:.3e} exceeds tolerance * |value| = {bound[k]:.3e}")
         n = 2 * n - 1
     if y.ndim == 1:
         return float(value), float(err)

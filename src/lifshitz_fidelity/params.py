@@ -116,7 +116,9 @@ class QuadratureSpec:
                carries 4*panels + 1 <= kernels.MAX_GRID_POINTS points and the
                coarse sum its even subsample; the grid then doubles until the
                Richardson error estimate meets tolerance (kernels.refined_simpson)
-    tolerance  relative convergence / tail-coverage threshold
+    tolerance  relative threshold: a quadrature returns only once every
+               error estimate is within tolerance * |value|, else raises
+               ConvergenceError; also the Gaussian grids' tail-coverage test
     halfwidth  Gaussian-grid half width in units of sigma
 
     The bulk quadratures absorb inverse-square-root endpoint singularities

@@ -108,7 +108,7 @@ def _radial_grid(npts, span, rp, zexp):
     not depend on cv, cm or hcoef, so the points of a bulk sweep that keeps
     rp and r_inf share one grid."""
     s = np.linspace(0.0, 1.0, npts)
-    factors = kernels.radial_factors(s, rp, span, 2, rp, zexp)
+    factors = kernels.radial_factors(s, span, rp, zexp)
     for a in (s, *factors):
         a.flags.writeable = False
     return s, factors
@@ -116,19 +116,14 @@ def _radial_grid(npts, span, rp, zexp):
 
 def _integrate_r(cv, cm, hcoef, rp, zexp, hi, spec):
     """Radial quadrature of r^2/sqrt(B) on [rp, hi] for the parametric B,
-    in s with r = rp + (hi - rp) s^2."""
+    in s with r = rp + (hi - rp) s^2. hcoef = cm rp^2 - cv
+    (geometry.falloff_coefficient) makes B(rp) a zero, so the integrand's
+    value at s = 0 is its limit 2 rp^2 sqrt((hi - rp)/B'(rp))."""
     span = hi - rp
-    b_lo = float(cv + hcoef - cm * rp * rp)
-    scale = _scale(cv, cm * hi * hi, hcoef)
-    if b_lo < -ENDPOINT_ZERO_TOL * scale:
-        raise NonPositiveBlackeningError(f"B({rp}) = {b_lo} < 0 at the lower endpoint")
-
-    y0 = 0.0
-    if abs(b_lo) <= ENDPOINT_ZERO_TOL * scale:
-        bp = -zexp * hcoef / rp - 2.0 * cm * rp
-        if bp <= 0.0:
-            raise NonPositiveBlackeningError("degenerate horizon: B'(rp) <= 0")
-        y0 = 2.0 * rp * rp * math.sqrt(span / bp)
+    bp = -zexp * hcoef / rp - 2.0 * cm * rp
+    if bp <= 0.0:
+        raise NonPositiveBlackeningError("degenerate horizon: B'(rp) <= 0")
+    y0 = 2.0 * rp * rp * math.sqrt(span / bp)
 
     def make(npts):
         s, factors = _radial_grid(npts, span, rp, zexp)
@@ -139,10 +134,7 @@ def _integrate_r(cv, cm, hcoef, rp, zexp, hi, spec):
             )
         return y, s
 
-    value, err = kernels.refined_simpson(make, spec)
-    if err > spec.tolerance * abs(value):
-        raise ConvergenceError(f"radial quadrature stalled: error estimate {err:.3e}")
-    return value, err
+    return kernels.refined_simpson(make, spec)
 
 
 def _integrate_w(cvterm, bcoef, bm2, zexp, eps, spec):
@@ -160,6 +152,9 @@ def _integrate_w(cvterm, bcoef, bm2, zexp, eps, spec):
         raise NonPositiveBlackeningError(f"integrand imaginary at w = 1: b(1) = {b_one}")
 
     lam = -np.log(eps)[:, None]
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(2.0 * lam * np.exp(3.0 * lam))):  # the integrand's factor at s = 1
+            raise DomainError(f"eps={eps.min()} is out of range: 2 log(1/eps) eps^-3 overflows")
     y0 = 0.0
     if abs(b_one) <= ENDPOINT_ZERO_TOL * scale:
         b_one, bp_one = 0.0, zexp * bcoef + 2.0 * bm2
@@ -178,10 +173,7 @@ def _integrate_w(cvterm, bcoef, bm2, zexp, eps, spec):
             raise NonPositiveBlackeningError("integrand non-positive on the w grid")
         return y, s
 
-    value, err = kernels.refined_simpson(make, spec)
-    if np.any(err > spec.tolerance * abs(value)):
-        raise ConvergenceError(f"w-coordinate quadrature stalled: error estimate {err.max():.3e}")
-    return value, err
+    return kernels.refined_simpson(make, spec)
 
 
 # ---------- volume operations ----------
@@ -196,6 +188,9 @@ def volume_exact(p: BulkParams, r_inf: float, spec: QuadratureSpec = DEFAULT_SPE
     """Maximal volume from rp out to the IR cutoff r_inf, by radial quadrature."""
     if not (math.isfinite(r_inf) and r_inf > p.rp):
         raise DomainError(f"r_inf must be finite and exceed rp={p.rp}, got {r_inf}")
+    span = r_inf - p.rp
+    if not math.isfinite(2.0 * span * (span + p.rp) * (span + p.rp)):  # the grid's last jr2
+        raise DomainError(f"r_inf={r_inf} is out of range: 2 (r_inf - rp) r_inf^2 overflows")
     cv, cm, hcoef, zexp = _param_coeffs(p)
     return VolumeResult(*_integrate_r(cv, cm, hcoef, p.rp, zexp, r_inf, spec))
 
@@ -393,9 +388,7 @@ def _subtracted_volumes(p: BulkParams, eps, spec: QuadratureSpec) -> np.ndarray:
             raise NonPositiveBlackeningError("B or B_bg non-positive inside the integration domain")
         return y, s
 
-    value, err = kernels.refined_simpson(make, spec)
-    if np.any(err > spec.tolerance * abs(value)):
-        raise ConvergenceError(f"subtracted-volume quadrature stalled: error estimate {err.max():.3e}")
+    value, _ = kernels.refined_simpson(make, spec)
     return below - p.rp**3 * hcoef * value
 
 

@@ -14,6 +14,7 @@ from scipy.integrate import quad
 
 from lifshitz_fidelity import (
     BosonGasParams,
+    ConvergenceError,
     DomainError,
     FitError,
     GridCoverageError,
@@ -178,6 +179,13 @@ def test_overlap_quadrature_rejects_dH_below_minus_H():
 def test_overlap_quadrature_detects_truncated_tails():
     with pytest.raises(GridCoverageError):
         overlap_quadrature(BosonGasParams(), 0.5, QuadratureSpec(halfwidth=2.0))
+
+
+def test_overlap_quadrature_raises_where_no_grid_converges():
+    # at 1e5 sigma the largest grid's estimate is still 1.8e-8 relative, and
+    # its value is 1.8e-8 off the closed form
+    with pytest.raises(ConvergenceError, match="stalled at"):
+        overlap_quadrature(BosonGasParams(), 0.3, QuadratureSpec(halfwidth=1e5))
 
 
 def test_overlap_grid_rows_are_c_ordered_linspace_rows():

@@ -291,6 +291,17 @@ def test_many_body_and_extreme_field_fits_succeed(tmp_path, args):
     assert res["residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("args, start", [
+    # no grid up to kernels.MAX_GRID_POINTS meets the tolerance at 1e5 sigma
+    (["boundary", "--halfwidth", "100000"], "numerical failure in xi_f_from_fit: quadrature stalled"),
+    # the radial grid's factor 2 (r_inf - rp) r_inf^2 overflows
+    (["bulk", "--r_inf", "1e103"], "numerical failure in volume_exact: r_inf=1e+103"),
+])
+def test_out_of_reach_configurations_exit_2_naming_the_cause(tmp_path, capsys, args, start):
+    assert run(args + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(start)
+
+
 def test_sweep_failure_names_the_parameter_point(tmp_path, capsys):
     args = ["sweep", "--axis", "H", "--from", "1", "--to", "1e308", "--points", "3"]
     assert run(args + ["--out", str(tmp_path)]) == 2

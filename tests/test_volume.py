@@ -118,6 +118,20 @@ def test_w_form_validation(make_bulk):
         volume_w_form(p, 0.1, "series")
 
 
+def test_cutoffs_whose_grid_factor_overflows_are_named():
+    # at rp = 1 the radial factor 2 (r_inf - rp) r_inf^2 overflows from about
+    # 4.5e102 and the w factor 2 log(1/eps) eps^-3 below about 1.4e-102,
+    # though B > 0 on the whole interval
+    p = BulkParams()
+    with pytest.raises(DomainError, match="r_inf=1e[+]103"):
+        volume_exact(p, 1e103)
+    with pytest.raises(DomainError, match="eps=1e-103"):
+        volume_w_form(p, 1e-103)
+    c = -curvature_coefficient(p)  # V = r_inf^2/(2 sqrt(c)) + O(r_inf)
+    for v in (volume_exact(p, 1e100), volume_w_form(p, 1e-100)):
+        assert v.value == pytest.approx(1e200 / (2 * math.sqrt(c)), rel=1e-12)
+
+
 def test_w_form_imaginary_integrand(make_bulk):
     # lambda_eff > 0 flips the sign of b_minus2
     p = make_bulk(lambda_eff=5.0)
