@@ -8,7 +8,8 @@ Overlaps integrate the product of the two Gaussians, which keeps tiny
 overlaps to relative precision; the fit integrates the deficit
 (1/2) int (psi_H - psi_{H+dH})^2 dx instead, which keeps 1 - f ~ 1e-7 to
 relative precision. Both share one grid builder that lays out one C-ordered
-row per dH, so a fit's samples go through one (samples x grid) quadrature.
+row per point and dH, so a block of fits goes through one (rows x grid)
+quadrature.
 Evaluation is at t = 0 with identical k and beta in both states, so the
 plane-wave factors cancel and the transverse box modes contribute unit
 overlap.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, FitError, GridCoverageError
+from .errors import ConvergenceError, DomainError, FitError, GridCoverageError
 from .params import BosonGasParams, QuadratureSpec
 
 #: Default grid for overlap quadratures: +-10 sigma, Simpson from 257 points.
@@ -51,6 +52,12 @@ FIT_SOLVE = np.array([
     [1.4504168409312712, -5.914445838561277, 6.478338212742237, 4.109990241182217,
      4.109990241182213, 6.478338212742226, -5.9144458385612735, 1.4504168409312705],
 ])
+#: Elements of a block of fits' (rows x grid) deficit array on its first grid,
+#: FIT_SAMPLE_SCALES.size rows per point: 15 points on the default 257-point
+#: grid, one at panels = 16384. The fits of a 128-point default sweep took
+#: about 20 / 8 / 6 / 5 / 5 / 6.5 ms at 8 / 32 / 64 / 120 / 256 / 1024 rows per
+#: block (2-vCPU VM), and a whole 1024-row sweep holds about 8 MB of temporaries.
+FIT_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -139,27 +146,55 @@ def gaussian_overlap(a: float, xa: float, b: float, xb: float) -> float:
     )
 
 
-def _overlap_pairs(p: BosonGasParams, dH, halfwidth: float):
-    """Ground-state pairs at H and H + dH for a vector of dH, and their grid.
+def fit_block_points(grid: QuadratureSpec) -> int:
+    """Points per block of fits at grid's first size: as many as fit in
+    FIT_BLOCK_ELEMENTS, with FIT_SAMPLE_SCALES.size rows of 4*panels + 1
+    points each, and at least one."""
+    return max(1, FIT_BLOCK_ELEMENTS // (FIT_SAMPLE_SCALES.size * (4 * grid.panels + 1)))
 
-    Returns (a, xa, b, xb, grid_x): the widths and centres of the states at H
-    (scalars) and at H + dH (column vectors, one row per dH), and grid_x(n),
-    the C-ordered (rows x n) abscissae covering both Gaussians of each row
-    out to halfwidth sigma. Each row is linspace's own arithmetic, so it is
-    bit-identical to a 1-D np.linspace call; linspace with array endpoints
-    returns a strided array whose row sums skip pairwise summation. Raises
-    DomainError if a dH is <= -H or a row's exponent
+
+def _rows(values, samples: int):
+    """Per-point floats, or equal-length tuples of them, as (points * samples
+    x 1) columns, each value repeated down its point's rows; a single point's
+    value is returned as it is."""
+    if len(values) == 1:
+        return values[0]
+    return np.repeat(np.array(values).T, samples, axis=-1)[..., None]
+
+
+def _overlap_pairs(points, dH, halfwidth: float):
+    """Ground-state pairs at H and H + dH for each point and dH, and their grid.
+
+    points is a sequence of BosonGasParams and dH a (points x samples) array
+    of each point's offsets. Returns (a, xa, b, xb, grid_x): the widths and
+    centres of the states at H and at H + dH, one row per point and dH in C
+    order, and grid_x(n), the C-ordered (rows x n) abscissae covering both
+    Gaussians of each row out to halfwidth sigma. b and xb are (rows x 1)
+    columns; a and xa are too, or floats for a single point. Each row is
+    linspace's own arithmetic, so it is bit-identical to a 1-D np.linspace
+    call; linspace with array endpoints returns a strided array whose row
+    sums skip pairwise summation. A point's a = q H, xa = beta / a and
+    a**-0.5 are Python floats repeated down its rows: numpy's pow differs
+    from Python's in the last bit on about one input in twenty, even on a
+    (1 x 1) array, so numpy here would change the bits of a one-point fit.
+    Everything after is elementwise, so each row has the bits it has for its
+    point alone. Raises DomainError if a dH is <= -H or a row's exponent
     a (x - xa)^2 + b (x - xb)^2 overflows on its grid.
     """
-    dH = np.asarray(dH, dtype=float)[:, None]
-    if np.any(dH <= -p.H):
+    dH = np.asarray(dH, dtype=float)
+    samples = dH.shape[1]
+    dH = dH.reshape(-1, 1)
+    H = _rows([p.H for p in points], samples)
+    if np.any(dH <= -H):
         raise DomainError(f"dH must exceed -H, got dH={dH.min()}")
-    a = p.q * p.H
-    xa = p.beta / a
-    sa = a**-0.5
+    scalars = []
+    for p in points:
+        a = p.q * p.H
+        scalars.append((p.q, p.beta, a, p.beta / a, a**-0.5))
+    q, beta, a, xa, sa = _rows(scalars, samples)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # caught below
-        b = p.q * (p.H + dH)
-        xb = p.beta / b
+        b = q * (H + dH)
+        xb = beta / b
         sb = b**-0.5
         lo = np.minimum(xa - halfwidth * sa, xb - halfwidth * sb)
         hi = np.maximum(xa + halfwidth * sa, xb + halfwidth * sb)
@@ -195,7 +230,7 @@ def overlap_quadrature(p: BosonGasParams, dH: float, grid: QuadratureSpec = OVER
     has not decayed at the edges, and DomainError if its exponent
     a (x - xa)^2 + b (x - xb)^2 overflows there.
     """
-    a, xa, b, xb, grid_x = _overlap_pairs(p, [dH], grid.halfwidth)
+    a, xa, b, xb, grid_x = _overlap_pairs([p], [[dH]], grid.halfwidth)
 
     def make(npts):
         x = grid_x(npts)
@@ -213,25 +248,34 @@ def fidelity(p: BosonGasParams, dH: float, grid: QuadratureSpec = OVERLAP_GRID) 
     return overlap_quadrature(p, dH, grid) ** p.N
 
 
-def _overlap_deficits(p: BosonGasParams, dH, grid: QuadratureSpec = OVERLAP_GRID):
-    """Per-particle deficits 1 - f = (1/2) int (psi_H - psi_{H+dH})^2 dx, one per dH.
+def _overlap_deficits(points, dH, grid: QuadratureSpec = OVERLAP_GRID):
+    """Per-particle deficits 1 - f = (1/2) int (psi_H - psi_{H+dH})^2 dx, one
+    per point and dH, as a (points x samples) array like dH.
 
-    All samples share one (samples x grid) quadrature. The squared difference
+    All samples share one (rows x grid) quadrature. The squared difference
     is formed as psi_H^2 expm1(r)^2, with the log ratio r = log psi_{H+dH} -
     log psi_H = 1/4 log1p(d/a) - d (x^2 - xa xb)/2 and d = b - a exact, so
     the deficit keeps its relative precision where 1 - f would cancel. Far
     out on a wide grid expm1(r)^2 overflows where psi_H^2 underflows; there
-    the integrand is taken as exp(2 r - a (x - xa)^2). Raises
-    GridCoverageError as overlap_quadrature does, and FitError where the
-    integrand is not finite or a deficit exceeds 1/2, past which 1 - u
+    the integrand is taken as exp(2 r - a (x - xa)^2). A single point
+    refines its grid as refined_simpson asks; several points share only the
+    first grid, and raise ConvergenceError if any of them needs a finer one.
+    Raises GridCoverageError as overlap_quadrature does, and FitError where
+    the integrand is not finite or a deficit exceeds 1/2, past which 1 - u
     loses more than one bit and the states are far from perturbative.
     """
-    a, xa, b, xb, grid_x = _overlap_pairs(p, dH, grid.halfwidth)
+    a, xa, b, xb, grid_x = _overlap_pairs(points, dH, grid.halfwidth)
+    samples = np.shape(dH)[1]
+    norm = _rows([0.5 * math.sqrt(p.q * p.H / math.pi) for p in points], samples)
+    first = 4 * grid.panels + 1
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the finiteness check
         d = b - a  # exact (Sterbenz) while b/a lies in [1/2, 2]
         k = 0.25 * np.log1p(d / a) + 0.5 * d * (xa * xb)
 
         def make(npts):
+            if npts != first and len(points) > 1:
+                raise ConvergenceError(f"a block of {len(points)} fits shares only its "
+                                       f"first grid of {first} points")
             x = grid_x(npts)
             y = kernels.overlap_deficit(x, a, xa, d, k)
             tail = ~np.isfinite(y)
@@ -243,10 +287,42 @@ def _overlap_deficits(p: BosonGasParams, dH, grid: QuadratureSpec = OVERLAP_GRID
             return y, x
 
         value, _ = kernels.refined_simpson(make, grid)
-        u = 0.5 * math.sqrt(a / math.pi) * value
+        u = (norm * value[:, None]).reshape(-1, samples)
     if not np.all(u <= 0.5):
         raise FitError(f"overlap deficit {u.max():.3g} exceeds 1/2: not perturbative")
     return u
+
+
+def xi_f_from_fit_block(points, grid: QuadratureSpec = OVERLAP_GRID) -> list:
+    """Susceptibility fits of several points, as xi_f_from_fit, from one quadrature.
+
+    The points' deficits are one (points * 8 x grid) array on their first
+    grid, so the block costs one refined_simpson call; keep it within
+    FIT_BLOCK_ELEMENTS (fit_block_points). Each fit has the bits that
+    xi_f_from_fit gives its point alone: every step is elementwise or a
+    stacked np.matmul, which gives each stack the bits of FIT_SOLVE @ log_f
+    (log_f @ FIT_SOLVE.T and einsum do not). A block of one is
+    xi_f_from_fit; a larger block raises ConvergenceError if any point needs
+    a grid finer than the first, and any error that one of its points
+    raises alone, though not necessarily the first point's.
+    """
+    dH = FIT_SAMPLE_SCALES * np.array([[p.H] for p in points])
+    log_f = np.log1p(-_overlap_deficits(points, dH, grid))
+    coef = np.matmul(FIT_SOLVE, log_f[:, :, None])
+    misfit = np.matmul(FIT_DESIGN, coef)[:, :, 0] - log_f
+    residuals = np.sqrt((misfit**2).sum(axis=1) / misfit.shape[1]).tolist()  # np.mean's bits
+    fits = []
+    for p, c, dH_max, residual in zip(points, coef[:, 0, 0], dH[:, -1], residuals):
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            c_sq = 2 * p.N * (-c / dH_max**2)  # a numpy float: may underflow to 0 or overflow
+        if not (np.isfinite(c_sq) and c_sq > 0):
+            raise FitError(f"fitted susceptibility {c_sq:.3g} is not a finite positive float")
+        if residual > 1e-6 * -c:
+            raise FitError(
+                f"fit residual {residual:.3e} exceeds 1e-6 of quadratic term {-c:.3e}"
+            )
+        fits.append(FidelityFit(c_sq=float(c_sq), residual=residual))
+    return fits
 
 
 def xi_f_from_fit(p: BosonGasParams, grid: QuadratureSpec = OVERLAP_GRID) -> FidelityFit:
@@ -260,21 +336,10 @@ def xi_f_from_fit(p: BosonGasParams, grid: QuadratureSpec = OVERLAP_GRID) -> Fid
     absorb the series tail, which otherwise biases the quadratic coefficient
     -c. N enters only as the exact factor of c_sq = 2 N c, the dH^2
     coefficient of 1 - F^2. Raises FitError if c_sq is not a finite positive
-    float or the residual exceeds 1e-6 of the quadratic term.
+    float or the residual exceeds 1e-6 of the quadratic term. This is the
+    block of one of xi_f_from_fit_block.
     """
-    dH = FIT_SAMPLE_SCALES * p.H
-    log_f = np.log1p(-_overlap_deficits(p, dH, grid))
-    coef = FIT_SOLVE @ log_f
-    residual = float(np.sqrt(np.mean((FIT_DESIGN @ coef - log_f) ** 2)))
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        c_sq = 2 * p.N * (-coef[0] / dH[-1] ** 2)  # a numpy float: may underflow to 0 or overflow
-    if not (np.isfinite(c_sq) and c_sq > 0):
-        raise FitError(f"fitted susceptibility {c_sq:.3g} is not a finite positive float")
-    if residual > 1e-6 * -coef[0]:
-        raise FitError(
-            f"fit residual {residual:.3e} exceeds 1e-6 of quadratic term {-coef[0]:.3e}"
-        )
-    return FidelityFit(c_sq=float(c_sq), residual=residual)
+    return xi_f_from_fit_block([p], grid)[0]
 
 
 def xi_f_analytic(p: BosonGasParams) -> float:

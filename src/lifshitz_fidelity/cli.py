@@ -211,13 +211,14 @@ def _write_json(path: Path, doc: dict):
         fh.write("\n")
 
 
-def _write_csv(path: Path, cfg: dict, header, rows):
+def _write_csv(path: Path, cfg: dict, header, cells):
+    """A CSV of the given header and rows of cells, already formatted by _fmt_csv."""
     with open(path, "w", newline="\n") as fh:
         for line in _config_lines(cfg):
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_csv(v) for v in row) + "\n")
+        for row in cells:
+            fh.write(",".join(row) + "\n")
 
 
 def _emit(outdir: Path, name: str, cfg: dict, results: dict, flags=(), invariants=()):
@@ -232,7 +233,7 @@ def _emit(outdir: Path, name: str, cfg: dict, results: dict, flags=(), invariant
     _write_json(outdir / f"{name}.json", doc)
     if cfg.get("format") == "csv":
         keys = sorted(results)
-        _write_csv(outdir / f"{name}.csv", cfg, keys, [[results[k] for k in keys]])
+        _write_csv(outdir / f"{name}.csv", cfg, keys, [[_fmt_csv(results[k]) for k in keys]])
     for key in sorted(results):
         print(f"{key} = {_fmt_csv(results[key])}")
     for flag in flags:
@@ -241,16 +242,31 @@ def _emit(outdir: Path, name: str, cfg: dict, results: dict, flags=(), invariant
 
 # ---------- subcommands ----------
 
-def _run_boundary_point(cfg, spec):
-    p = _params(BosonGasParams, cfg)
-    fit = _call("xi_f_from_fit", boundary.xi_f_from_fit, p, spec)
-    exact = _call("xi_f_analytic", boundary.xi_f_analytic, p)
+def _boundary_results(fit, exact):
     return {
         "xi_f_analytic": exact,
         "xi_f_fitted": fit.c_sq,
         "fit_residual": fit.residual,
         "residual": abs(fit.c_sq - exact) / exact,
-    }, ()
+    }
+
+
+def _run_boundary_point(cfg, spec):
+    p = _params(BosonGasParams, cfg)
+    fit = _call("xi_f_from_fit", boundary.xi_f_from_fit, p, spec)
+    exact = _call("xi_f_analytic", boundary.xi_f_analytic, p)
+    return _boundary_results(fit, exact), ()
+
+
+def _run_boundary_block(cfgs, spec):
+    """The boundary results of several points from one block of fits
+    (boundary.xi_f_from_fit_block). Any failure raises, unnamed, and so does
+    any floating-point error that a point run alone would warn about: the
+    caller re-runs the block point by point for its diagnostic."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        points = [_params(BosonGasParams, cfg) for cfg in cfgs]
+        fits = boundary.xi_f_from_fit_block(points, spec)
+        return [_boundary_results(fit, boundary.xi_f_analytic(p)) for p, fit in zip(points, fits)]
 
 
 def _series_finite(p):
@@ -337,18 +353,35 @@ def _cmd_sweep(cfg, outdir):
             raise _NumericalFailure(f"sweep {where}", exc) from exc
         return results
 
-    rows_dicts = [eval_point(v) for v in values]
+    def eval_block(block):
+        # a block shares its first grid; if a point refines or anything
+        # fails, each point runs alone, on its own grids, and the first
+        # failure in sweep order is the one reported
+        if len(block) > 1:
+            try:
+                return _run_boundary_block([{**cfg, axis: float(v)} for v in block], spec)
+            except NUMERICAL_ERRORS:
+                pass
+        return [eval_point(v) for v in block]
+
+    if side == "boundary":
+        size = boundary.fit_block_points(spec)
+        rows_dicts = [d for start in range(0, len(values), size)
+                      for d in eval_block(values[start:start + size])]
+    else:
+        rows_dicts = [eval_point(v) for v in values]
     columns = [axis] + sorted(rows_dicts[0])
-    rows = [[float(v)] + [d[k] for k in columns[1:]] for v, d in zip(values, rows_dicts)]
-    _write_csv(outdir / "sweep.csv", cfg, columns, rows)
+    cells = [[_fmt_csv(float(v))] + [_fmt_csv(d[k]) for k in columns[1:]]
+             for v, d in zip(values, rows_dicts)]
+    _write_csv(outdir / "sweep.csv", cfg, columns, cells)
     for col_idx, col in enumerate(columns[1:], start=1):
         with open(outdir / f"plot_{col}.dat", "w", newline="\n") as fh:
-            for row in rows:
-                fh.write(f"{_fmt_csv(row[0])} {_fmt_csv(row[col_idx])}\n")
-    doc_results = {"rows": len(rows), "columns": columns}
+            for row in cells:
+                fh.write(f"{row[0]} {row[col_idx]}\n")
+    doc_results = {"rows": len(cells), "columns": columns}
     _write_json(outdir / "sweep.json", {"config": cfg, "results": doc_results,
                                         "flags": [], "invariants": []})
-    print(f"sweep: {len(rows)} points over {axis} -> {outdir / 'sweep.csv'}")
+    print(f"sweep: {len(cells)} points over {axis} -> {outdir / 'sweep.csv'}")
     return 0
 
 

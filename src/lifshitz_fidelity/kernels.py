@@ -20,7 +20,11 @@ as references), so every value is bit-identical; `**` with a scalar exponent
 stays an operator so numpy's square fast path still applies. The
 Gaussian kernels and `simpson` also take a (rows x n) grid with per-row
 parameters as (rows x 1) columns, and each row keeps the bits of a one-row
-call when the grid is C-ordered.
+call when the grid is C-ordered. A caller that fills such columns from
+per-point scalars computes each scalar in Python float arithmetic: numpy's
+pow differs from Python's in the last bit on some inputs, even on a (1 x 1)
+array, so a column computed in numpy would not keep the bits of the same
+point computed alone.
 """
 from __future__ import annotations
 

@@ -49,6 +49,16 @@ CASES = [
     ["sweep", "--axis", "H", "--from", "0.5", "--to", "4", "--points", "16",
      "--q", "1.3", "--beta", "0.7"],
     ["sweep", "--axis", "beta", "--from", "-2", "--to", "2", "--points", "9"],
+    # a boundary sweep fits its points in blocks that share a first grid: 10 of
+    # these points converge on it and 2 refine, so their block runs point by point
+    ["sweep", "--axis", "beta", "--from", "-5", "--to", "5", "--points", "12",
+     "--halfwidth", "18", "--tolerance", "1e-12"],
+    # crosses block edges
+    ["sweep", "--axis", "q", "--from", "0.1", "--to", "9", "--points", "37", "--beta", "1.5"],
+    # exit 2: a FitError at beta=555.5555555555555, in the middle of a block
+    ["sweep", "--axis", "beta", "--from", "0", "--to", "1e4", "--points", "37"],
+    # exit 2: the fit failure at the first point wins over the parameter failure at the second
+    ["sweep", "--axis", "H", "--from", "1e-300", "--to", "-1", "--points", "3"],
     ["sweep", "--axis", "Qt", "--from", "1", "--to", "10", "--points", "8", "--log"],
     ["sweep", "--axis", "Qt", "--from", "1", "--to", "10", "--points", "4", "--log",
      "--panels", "16384"],

@@ -192,7 +192,7 @@ def test_overlap_grid_rows_are_c_ordered_linspace_rows():
     # row sums of a strided grid (np.linspace with array endpoints) skip
     # numpy's pairwise summation, so each row must be a contiguous linspace
     p = BosonGasParams(q=1.3, H=0.7, beta=0.4)
-    _, _, _, _, grid_x = boundary._overlap_pairs(p, np.linspace(-7e-3, 7e-3, 8), 10.0)
+    _, _, _, _, grid_x = boundary._overlap_pairs([p], [np.linspace(-7e-3, 7e-3, 8)], 10.0)
     for n in (257, 262145):
         x = grid_x(n)
         assert x.shape == (8, n) and x.flags.c_contiguous
@@ -212,7 +212,7 @@ def test_overlap_deficit_matches_mpmath():
         beta_max = min(5.0, math.sqrt(100.0 * q * H / 4.0))
         p = BosonGasParams(q=q, H=H, beta=rng.uniform(-beta_max, beta_max))
         dH = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-5.0, -2.0, 4) * H
-        u = boundary._overlap_deficits(p, dH)
+        u = boundary._overlap_deficits([p], [dH])[0]
         for ui, dHi in zip(u, dH):
             a, b = mpmath.mpf(q * H), mpmath.mpf(q * (H + dHi))
             xa, xb = mpmath.mpf(p.beta) / a, mpmath.mpf(p.beta) / b
@@ -310,7 +310,7 @@ def test_fit_solve_is_the_pseudoinverse_of_the_design():
 def _lstsq_fit(p):
     # reference: the fit as a per-call least-squares solve on its own scaled design
     d = np.array([s * p.H for s in (-4e-3, -3e-3, -2e-3, -1e-3, 1e-3, 2e-3, 3e-3, 4e-3)])
-    log_f = np.log1p(-boundary._overlap_deficits(p, d))
+    log_f = np.log1p(-boundary._overlap_deficits([p], [d])[0])
     span = np.abs(d).max()
     coef, *_ = np.linalg.lstsq((d / span)[:, None] ** np.arange(2, 7), log_f, rcond=None)
     return 2 * p.N * (-coef[0] / span**2)
@@ -330,6 +330,52 @@ def test_fit_operator_matches_least_squares(log_q, log_H, N, beta):
             _lstsq_fit(p)
         return
     assert fit.c_sq == pytest.approx(_lstsq_fit(p), rel=1e-14)
+
+
+def _fit_bits(fits):
+    return [(f.c_sq.hex(), f.residual.hex()) for f in fits]
+
+
+def _raises(fn, *args):
+    try:
+        fn(*args)
+    except LifshitzFidelityError:
+        return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0),
+                                 st.floats(-5.0, 5.0), st.integers(1, 1000)),
+                       min_size=1, max_size=40),
+       refining=st.booleans())
+def test_fit_block_has_the_bits_of_one_point_fits(points, refining):
+    # q, H and beta from the verify suite's ranges; the refining spec makes
+    # some points need a grid finer than the first, which a block declines
+    spec = QuadratureSpec(halfwidth=18.0, tolerance=1e-12) if refining else QuadratureSpec()
+    points = [BosonGasParams(N=N, q=q, H=H, beta=beta) for q, H, beta, N in points]
+    try:
+        fits = boundary.xi_f_from_fit_block(points, spec)
+    except LifshitzFidelityError:
+        # some point fails alone or needs a finer grid, so a block of it twice
+        # raises; a block of the other points fits them
+        kept = [p for p in points if not _raises(boundary.xi_f_from_fit_block, [p, p], spec)]
+        assert len(kept) < len(points)
+        points = kept
+        fits = boundary.xi_f_from_fit_block(points, spec) if points else []
+    assert _fit_bits(fits) == _fit_bits([xi_f_from_fit(p, spec) for p in points])
+
+
+def test_fit_block_declines_a_finer_grid():
+    # at halfwidth 18 and tolerance 1e-12, beta = 0 needs a second grid and beta = -5 does not
+    spec = QuadratureSpec(halfwidth=18.0, tolerance=1e-12)
+    slow, fast = BosonGasParams(beta=0.0), BosonGasParams(beta=-5.0)
+    with pytest.raises(ConvergenceError, match="shares only its first grid"):
+        boundary.xi_f_from_fit_block([fast, slow], spec)
+    assert _fit_bits(boundary.xi_f_from_fit_block([slow], spec)) == _fit_bits(
+        [xi_f_from_fit(slow, spec)])
+    assert _fit_bits(boundary.xi_f_from_fit_block([fast, fast], spec)) == _fit_bits(
+        [xi_f_from_fit(fast, spec)] * 2)
 
 
 @pytest.mark.parametrize("H", [1e-300, 1e307])

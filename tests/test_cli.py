@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lifshitz_fidelity import cli, geometry, volume
+from lifshitz_fidelity import boundary, cli, geometry, kernels, volume
 from lifshitz_fidelity.cli import main
 
 
@@ -106,6 +106,27 @@ def test_bulk_sweep_builds_one_radial_grid_while_rp_and_r_inf_hold(tmp_path):
                 "--out", str(tmp_path / "rp")]) == 0
     info = volume._radial_grid.cache_info()
     assert (info.misses, info.hits) == (4, 0)
+
+
+def test_boundary_sweep_blocks_stay_within_the_element_budget(tmp_path, monkeypatch):
+    # a default sweep fits 15 points per deficit array; at panels 16384 one
+    # point's first grid alone exceeds the budget, so each call holds one point
+    shapes = []
+    overlap_deficit = kernels.overlap_deficit
+
+    def recorded(x, *args):
+        shapes.append(x.shape)
+        return overlap_deficit(x, *args)
+
+    monkeypatch.setattr(kernels, "overlap_deficit", recorded)
+    assert run(["sweep", "--axis", "H", "--from", "0.5", "--to", "4", "--points", "128",
+                "--out", str(tmp_path / "default")]) == 0
+    assert max(rows * n for rows, n in shapes) <= boundary.FIT_BLOCK_ELEMENTS
+    assert len(shapes) == 9 and sum(rows for rows, _ in shapes) == 128 * 8
+    shapes.clear()
+    assert run(["sweep", "--axis", "H", "--from", "0.5", "--to", "2", "--points", "3",
+                "--panels", "16384", "--out", str(tmp_path / "fine")]) == 0
+    assert shapes == [(8, 4 * 16384 + 1)] * 3
 
 
 @pytest.mark.parametrize("axis, extra", [("Qt", ["--r_inf", "150"]), ("H", [])],

@@ -219,7 +219,7 @@ def _fit_rows(seed, npts):
     beta_max = min(5.0, math.sqrt(100.0 * q * H / 4.0))
     p = BosonGasParams(q=q, H=H, beta=rng.uniform(-beta_max, beta_max))
     dH = np.sort(rng.uniform(-1e-2, 1e-2, 8)) * H
-    a, xa, b, xb, grid_x = boundary._overlap_pairs(p, dH, 10.0)
+    a, xa, b, xb, grid_x = boundary._overlap_pairs([p], [dH], 10.0)
     return a, xa, b, xb, grid_x(npts)
 
 
