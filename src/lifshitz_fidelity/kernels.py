@@ -7,12 +7,12 @@ the quadratures' convergence contract. Per-kernel timings come from
 `python3 perfbench/run.py` (see perfbench/README.md).
 
 The radial volume integrand is split in two. radial_factors builds the
-arrays that depend only on the grid (r, the Jacobian times r^2, and
-(rp/r)^zexp), which a caller may cache and reuse across parameter points;
+two arrays that depend only on the grid (k and G, which write B relative to
+its zero at rp), which a caller may cache and reuse across parameter points;
 radial_integrand runs the per-point pass over them RADIAL_BLOCK points at a
-time, with two block-sized scratch arrays, so its working set stays in
-cache. The other grid kernels (the Gaussian product and the overlap
-deficit) evaluate in place: each allocates its output and at most two
+time, four ufunc passes into one block-sized scratch array, so its working
+set stays in cache. The other grid kernels (the Gaussian product and the
+overlap deficit) evaluate in place: each allocates its output and at most two
 scratch arrays of the grid's shape. No kernel writes into the grid it is
 given. All of them apply the same ufuncs to the same operands in the same
 order as the plain expressions they stand for (kept in tests/test_kernels.py
@@ -32,45 +32,58 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-#: Points per block of radial_integrand's pass, so that its two scratch blocks
-#: and the slices it reads stay in cache. On a 262145-point grid (2-vCPU VM),
+#: Points per block of radial_integrand's pass, so that its scratch block and
+#: the slices it reads stay in cache. On a 262145-point grid (2-vCPU VM),
 #: blocks of 8192-32768 points ran within 15% of each other, 2048 points about
 #: 40% slower, and one whole-grid block 2.6 times slower.
 RADIAL_BLOCK = 16384
 
 
 def radial_factors(s, span, rp, zexp):
-    """The factors of the radial volume integrand that depend only on the grid:
-    (r, jr2, ratio) with r = rp + span*s^2, jr2 = s*(2*span)*r*r and
-    ratio = (rp/r)^zexp. The map takes s in [0,1] onto [rp, rp+span]; the
-    Jacobian's factor s absorbs an inverse-sqrt zero of B at rp."""
-    r = s**2
-    r *= span
-    r += rp
+    """The factors (k, G) of the radial volume integrand that depend only on the grid.
+
+    The map r = rp + d, d = span*s^2, takes s in [0,1] onto [rp, rp+span].
+    With f1 = 1 - (rp/r)^zexp = -expm1(-zexp*log1p(d/rp)) and
+    hcoef = cm*rp^2 - cv, B = cv + (rp/r)^zexp*hcoef - cm*r^2 is exactly
+    f1*(cv - cm*G) with G = rp^2 + d*(d + 2*rp)/f1. So the integrand
+    jr2/sqrt(B), jr2 = s*(2*span)*r^2, is k/sqrt(cv - cm*G) with
+    k = r*r*s*(2*span)/sqrt(f1). Near rp, f1 -> zexp*d/rp and
+    G -> rp^2*(1 + 2/zexp), so cv - cm*G tends to rp*B'(rp)/zexp instead of
+    being a difference of terms that cancel; the Jacobian's factor s absorbs
+    the inverse-sqrt zero of B. Entry 0 of k and G is 0/0 (NaN).
+    """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        jr2 = s * (2 * span)
-        jr2 *= r
-        jr2 *= r
-        ratio = np.divide(rp, r)
-        ratio **= zexp
-    return r, jr2, ratio
+        d = s**2
+        d *= span
+        f1 = d / rp
+        np.log1p(f1, out=f1)
+        f1 *= -zexp
+        np.expm1(f1, out=f1)
+        np.negative(f1, out=f1)
+        g = d + 2 * rp
+        g *= d
+        g /= f1
+        g += rp * rp
+        k = d  # built in d's array
+        k += rp
+        k *= k
+        k *= s
+        k *= 2 * span
+        k /= np.sqrt(f1, out=f1)
+    return k, g
 
 
-def radial_integrand(factors, cv, cm, hcoef, y0):
-    """jr2/sqrt(B) on a 1-D grid from radial_factors, with
-    B = ratio*hcoef + cv - cm*r*r, evaluated RADIAL_BLOCK points at a time;
-    the first value is y0."""
-    r, jr2, ratio = factors
-    y = np.empty_like(r)
+def radial_integrand(factors, cv, cm, y0):
+    """k/sqrt(cv - cm*G) on a 1-D grid from radial_factors' (k, G), evaluated
+    RADIAL_BLOCK points at a time; the first value is y0."""
+    k, g = factors
+    y = np.empty_like(k)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for start in range(0, r.size, RADIAL_BLOCK):
+        for start in range(0, k.size, RADIAL_BLOCK):
             blk = slice(start, start + RADIAL_BLOCK)
-            tmp = cm * r[blk]
-            tmp *= r[blk]
-            bb = ratio[blk] * hcoef
-            bb += cv
-            bb -= tmp
-            np.divide(jr2[blk], np.sqrt(bb, out=bb), out=y[blk])
+            bb = g[blk] * cm
+            np.subtract(cv, bb, out=bb)
+            np.divide(k[blk], np.sqrt(bb, out=bb), out=y[blk])
     y[0] = y0
     return y
 

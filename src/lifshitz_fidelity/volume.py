@@ -104,9 +104,9 @@ def _scale(*vals):
 
 @functools.lru_cache(maxsize=1)
 def _radial_grid(npts, span, rp, zexp):
-    """The s grid of _integrate_r and its radial factors, read-only. They do
-    not depend on cv, cm or hcoef, so the points of a bulk sweep that keeps
-    rp and r_inf share one grid."""
+    """The s grid of _integrate_r and its radial factors (k, G), read-only.
+    They do not depend on cv, cm or hcoef, so the points of a bulk sweep that
+    keeps rp and r_inf share one grid."""
     s = np.linspace(0.0, 1.0, npts)
     factors = kernels.radial_factors(s, span, rp, zexp)
     for a in (s, *factors):
@@ -118,7 +118,9 @@ def _integrate_r(cv, cm, hcoef, rp, zexp, hi, spec):
     """Radial quadrature of r^2/sqrt(B) on [rp, hi] for the parametric B,
     in s with r = rp + (hi - rp) s^2. hcoef = cm rp^2 - cv
     (geometry.falloff_coefficient) makes B(rp) a zero, so the integrand's
-    value at s = 0 is its limit 2 rp^2 sqrt((hi - rp)/B'(rp))."""
+    value at s = 0 is its limit 2 rp^2 sqrt((hi - rp)/B'(rp)). The integrand
+    is k/sqrt(cv - cm G) (kernels.radial_factors), B written relative to
+    that zero, so hcoef enters only through B'(rp)."""
     span = hi - rp
     bp = -zexp * hcoef / rp - 2.0 * cm * rp
     if bp <= 0.0:
@@ -127,7 +129,7 @@ def _integrate_r(cv, cm, hcoef, rp, zexp, hi, spec):
 
     def make(npts):
         s, factors = _radial_grid(npts, span, rp, zexp)
-        y = kernels.radial_integrand(factors, cv, cm, hcoef, y0)
+        y = kernels.radial_integrand(factors, cv, cm, y0)
         if not np.all(np.isfinite(y)):
             raise NonPositiveBlackeningError(
                 "blackening factor non-positive inside the integration domain"

@@ -44,6 +44,8 @@ CASES = [
     ["bulk", "--V0", "-2", "--xi", "-2", "--Qt", "1.7", "--L", "1.3", "--G", "0.8"],
     ["bulk", "--panels", "4096", "--format", "csv"],
     ["bulk", "--xi", "1"],
+    # r_inf = rp/0.999999, just above the horizon
+    ["bulk", "--xi", "-5", "--rp", "0.6", "--V0", "-2", "--r_inf", "0.6000006000006"],
     ["match"],
     ["match", "--Qt", "2", "--xi", "-0.7", "--rp", "0.9", "--L", "1.5", "--G", "1.1"],
     ["sweep", "--axis", "H", "--from", "0.5", "--to", "4", "--points", "16",

@@ -101,9 +101,9 @@ def test_refined_simpson_names_the_worst_row():
 
 
 def test_radial_quadrature_reports_the_capped_estimate_as_stalled(monkeypatch):
-    # a near-degenerate horizon: B = -1 - h + h/r^3 + r^2 with h = (2 - 1e-3)/3
-    # has B(1) = 0 and B'(1) = 1e-3, so 1/sqrt(B) keeps a narrow shoulder
-    # above rp = 1 that no grid resolves to tolerance 1e-14
+    # a near-degenerate horizon: B = -1 - h + h/r^3 + r^2 with h = (2 - 1e-8)/3
+    # has B(1) = 0 and B'(1) = 1e-8, so 1/sqrt(B) keeps a shoulder of width
+    # about 1e-9 above rp = 1 that no grid resolves to tolerance 1e-14
     calls = []
     refined_simpson = kernels.refined_simpson
 
@@ -111,21 +111,34 @@ def test_radial_quadrature_reports_the_capped_estimate_as_stalled(monkeypatch):
         return refined_simpson(lambda n: calls.append(n) or make(n), spec)
 
     monkeypatch.setattr(kernels, "refined_simpson", counted)
-    h = (2.0 - 1e-3) / 3.0
+    h = (2.0 - 1e-8) / 3.0
     with pytest.raises(ConvergenceError):
         volume._integrate_r(-1.0 - h, -1.0, h, 1.0, 3.0, 10.0, QuadratureSpec(tolerance=1e-14))
     assert calls[-1] == kernels.MAX_GRID_POINTS
 
 
+def test_radial_quadrature_converges_near_a_degenerate_horizon():
+    # B'(1) = 1e-3 in the case above: B is written relative to its zero, so the
+    # shoulder converges to tolerance 1e-14. The reference is a 45-digit mpmath
+    # quadrature of the same integrand at the same float inputs.
+    h = (2.0 - 1e-3) / 3.0
+    value, err = volume._integrate_r(-1.0 - h, -1.0, h, 1.0, 3.0, 10.0, QuadratureSpec(tolerance=1e-14))
+    assert err <= 1e-14 * value
+    assert value == pytest.approx(55.556671064214221, rel=1e-14, abs=0)
+
+
 # ---------- in-place kernels keep the out-of-place results bit for bit ----------
-# The references are the out-of-place expressions the kernels replaced; the
+# The references are the out-of-place expressions the kernels stand for; the
 # kernels apply the same ufuncs to the same operands in the same order.
 
-def _ref_volume_integrand_r(s, span, mexp, cv, cm, hcoef, rp, zexp, y0):
-    r = rp + span * s**mexp
+def _ref_volume_integrand_r(s, span, mexp, cv, cm, rp, zexp, y0):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bb = cv + (rp / r) ** zexp * hcoef - cm * r * r
-        y = (mexp * span) * s ** (mexp - 1) * r * r / np.sqrt(bb)
+        d = span * s**mexp
+        f1 = -np.expm1(-zexp * np.log1p(d / rp))
+        g = rp * rp + d * (d + 2 * rp) / f1
+        r = rp + d
+        k = r * r * s ** (mexp - 1) * (mexp * span) / np.sqrt(f1)
+        y = k / np.sqrt(cv - cm * g)
     y[0] = y0
     return y
 
@@ -142,14 +155,14 @@ def _assert_same_bits(got, want):
 def _bulk_draw(seed):
     """Radial kernel inputs from a seeded bulk parameter draw.
 
-    z = 2 gives zexp = 2 (numpy's square fast path), z = 3 a non-integer zexp.
+    z cycles through 4, 2 and 3, so zexp = 1 + z/2 is 3, 2 or 2.5.
     """
     rng = np.random.default_rng(seed)
     z = (4.0, 2.0, 3.0)[seed % 3]
     p = BulkParams(xi=-rng.uniform(0.2, 2.0), Qt=rng.uniform(0.5, 2.0),
                    V0=rng.uniform(0.0, 1.0), rp=rng.uniform(0.5, 2.0), z=z)
-    cv, cm, hcoef, zexp = volume._param_coeffs(p)
-    return rng, p, cv, cm, hcoef, zexp
+    cv, cm, _, zexp = volume._param_coeffs(p)
+    return rng, p, cv, cm, zexp
 
 
 GRID_SIZES = [8193, 262145]
@@ -165,13 +178,13 @@ RADIAL_MAP_EXPONENTS = [2]
 @pytest.mark.parametrize("mexp", RADIAL_MAP_EXPONENTS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_volume_integrand_r_matches_out_of_place_bits(npts, mexp, seed):
-    rng, p, cv, cm, hcoef, zexp = _bulk_draw(seed)
+    rng, p, cv, cm, zexp = _bulk_draw(seed)
     span, y0 = rng.uniform(10.0, 200.0) * p.rp, rng.uniform(0.0, 5.0)
     s = np.linspace(0.0, 1.0, npts)
     before = s.copy()
-    got = kernels.radial_integrand(kernels.radial_factors(s, span, p.rp, zexp), cv, cm, hcoef, y0)
+    got = kernels.radial_integrand(kernels.radial_factors(s, span, p.rp, zexp), cv, cm, y0)
     _assert_same_bits(s, before)
-    _assert_same_bits(got, _ref_volume_integrand_r(s, span, mexp, cv, cm, hcoef, p.rp, zexp, y0))
+    _assert_same_bits(got, _ref_volume_integrand_r(s, span, mexp, cv, cm, p.rp, zexp, y0))
 
 
 BLOCK_EDGES = [kernels.RADIAL_BLOCK - 1, kernels.RADIAL_BLOCK, kernels.RADIAL_BLOCK + 1,
@@ -182,18 +195,18 @@ BLOCK_EDGES = [kernels.RADIAL_BLOCK - 1, kernels.RADIAL_BLOCK, kernels.RADIAL_BL
 @pytest.mark.parametrize("mexp", RADIAL_MAP_EXPONENTS)
 def test_radial_kernels_match_out_of_place_bits_at_block_edges(npts, mexp):
     # grids that end just short of, at and just past a block boundary
-    rng, p, cv, cm, hcoef, zexp = _bulk_draw(npts + mexp)
+    rng, p, cv, cm, zexp = _bulk_draw(npts + mexp)
     span, y0 = rng.uniform(10.0, 200.0) * p.rp, rng.uniform(0.0, 5.0)
     s = np.linspace(0.0, 1.0, npts)
     before = s.copy()
-    got = kernels.radial_integrand(kernels.radial_factors(s, span, p.rp, zexp), cv, cm, hcoef, y0)
+    got = kernels.radial_integrand(kernels.radial_factors(s, span, p.rp, zexp), cv, cm, y0)
     _assert_same_bits(s, before)
-    _assert_same_bits(got, _ref_volume_integrand_r(s, span, mexp, cv, cm, hcoef, p.rp, zexp, y0))
+    _assert_same_bits(got, _ref_volume_integrand_r(s, span, mexp, cv, cm, p.rp, zexp, y0))
 
 
 def test_cached_radial_grid_is_read_only():
-    s, factors = volume._radial_grid(257, 99.0, 1.0, 3.0)
-    for a in (s, *factors):
+    s, (k, g) = volume._radial_grid(257, 99.0, 1.0, 3.0)
+    for a in (s, k, g):
         with pytest.raises(ValueError):
             a[1] = 0.0
 

@@ -34,7 +34,7 @@ from lifshitz_fidelity.geometry import (
     potential_coefficient,
     series_coeffs_z4,
 )
-from lifshitz_fidelity.verification import _bulk
+from lifshitz_fidelity.verification import _bulk, _random_bulk
 
 
 def random_bulk(rng, make_bulk):
@@ -96,6 +96,26 @@ W_FORM_NEAR_HORIZON = [
 @pytest.mark.parametrize("args,eps,want", W_FORM_NEAR_HORIZON)
 def test_w_form_near_the_horizon_matches_mpmath(args, eps, want):
     assert volume_w_form(_bulk(*args), eps, "full-B").value == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("args,eps,want", W_FORM_NEAR_HORIZON)
+def test_volume_exact_near_the_horizon_matches_mpmath(args, eps, want):
+    # at eps = 0.999999 the rounding of r_inf = rp/eps alone moves the volume
+    # by a few 1e-11 relative
+    p = _bulk(*args)
+    assert volume_exact(p, p.rp / eps).value == pytest.approx(want, rel=1e-10, abs=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_x=st.floats(math.log(1e-6), math.log(399.0)))
+def test_volume_exact_matches_w_form_from_horizon_to_far_cutoff(seed, log_x):
+    # r_inf / rp - 1 = exp(log_x) is log-uniform in [1e-6, 399]: every draw
+    # with a genuine horizon returns, near it as well as far out
+    p = _random_bulk(np.random.default_rng(seed), horizon=True)
+    r_inf = p.rp * (1.0 + math.exp(log_x))
+    v_r = volume_exact(p, r_inf).value
+    v_w = volume_w_form(p, p.rp / r_inf, "full-B").value
+    assert abs(v_r - v_w) <= 1e-9 * abs(v_w)
 
 
 def test_w_form_analytic_value_at_b1_zero(make_bulk):
