@@ -8,8 +8,8 @@ Overlaps integrate the product of the two Gaussians, which keeps tiny
 overlaps to relative precision; the fit integrates the deficit
 (1/2) int (psi_H - psi_{H+dH})^2 dx instead, which keeps 1 - f ~ 1e-7 to
 relative precision. Both share one grid builder that lays out one C-ordered
-row per point and dH, so a block of fits goes through one (rows x grid)
-quadrature.
+row per point, shared by all of the point's dH samples, so a block of fits
+goes through one (points x samples x grid) quadrature.
 Evaluation is at t = 0 with identical k and beta in both states, so the
 plane-wave factors cancel and the transverse box modes contribute unit
 overlap.
@@ -52,11 +52,12 @@ FIT_SOLVE = np.array([
     [1.4504168409312712, -5.914445838561277, 6.478338212742237, 4.109990241182217,
      4.109990241182213, 6.478338212742226, -5.9144458385612735, 1.4504168409312705],
 ])
-#: Elements of a block of fits' (rows x grid) deficit array on its first grid,
-#: FIT_SAMPLE_SCALES.size rows per point: 15 points on the default 257-point
-#: grid, one at panels = 16384. The fits of a 128-point default sweep took
-#: about 20 / 8 / 6 / 5 / 5 / 6.5 ms at 8 / 32 / 64 / 120 / 256 / 1024 rows per
-#: block (2-vCPU VM), and a whole 1024-row sweep holds about 8 MB of temporaries.
+#: Elements of a block of fits' (points x samples x grid) deficit array on its
+#: first grid, FIT_SAMPLE_SCALES.size samples per point: 15 points on the
+#: default 257-point grid, one at panels = 16384. The fits of a 128-point
+#: default sweep took about 13 / 6 / 4 / 3.2 / 2.8 / 2.9 ms at 1 / 4 / 8 / 15 /
+#: 32 / 128 points per block (2-vCPU VM), and a whole 128-point block holds
+#: about 3 MB of temporaries.
 FIT_BLOCK_ELEMENTS = 2**15
 
 
@@ -148,68 +149,67 @@ def gaussian_overlap(a: float, xa: float, b: float, xb: float) -> float:
 
 def fit_block_points(grid: QuadratureSpec) -> int:
     """Points per block of fits at grid's first size: as many as fit in
-    FIT_BLOCK_ELEMENTS, with FIT_SAMPLE_SCALES.size rows of 4*panels + 1
+    FIT_BLOCK_ELEMENTS, with FIT_SAMPLE_SCALES.size samples of 4*panels + 1
     points each, and at least one."""
     return max(1, FIT_BLOCK_ELEMENTS // (FIT_SAMPLE_SCALES.size * (4 * grid.panels + 1)))
 
 
-def _rows(values, samples: int):
-    """Per-point floats, or equal-length tuples of them, as (points * samples
-    x 1) columns, each value repeated down its point's rows; a single point's
-    value is returned as it is."""
+def _columns(values):
+    """Per-point floats, or equal-length tuples of them, as (points x 1)
+    columns; a single point's value is returned as it is."""
     if len(values) == 1:
         return values[0]
-    return np.repeat(np.array(values).T, samples, axis=-1)[..., None]
+    return np.array(values).T[..., None]
 
 
 def _overlap_pairs(points, dH, halfwidth: float):
     """Ground-state pairs at H and H + dH for each point and dH, and their grid.
 
     points is a sequence of BosonGasParams and dH a (points x samples) array
-    of each point's offsets. Returns (a, xa, b, xb, grid_x): the widths and
-    centres of the states at H and at H + dH, one row per point and dH in C
-    order, and grid_x(n), the C-ordered (rows x n) abscissae covering both
-    Gaussians of each row out to halfwidth sigma. b and xb are (rows x 1)
-    columns; a and xa are too, or floats for a single point. Each row is
-    linspace's own arithmetic, so it is bit-identical to a 1-D np.linspace
-    call; linspace with array endpoints returns a strided array whose row
-    sums skip pairwise summation. A point's a = q H, xa = beta / a and
-    a**-0.5 are Python floats repeated down its rows: numpy's pow differs
-    from Python's in the last bit on about one input in twenty, even on a
-    (1 x 1) array, so numpy here would change the bits of a one-point fit.
-    Everything after is elementwise, so each row has the bits it has for its
-    point alone. Raises DomainError if a dH is <= -H or a row's exponent
-    a (x - xa)^2 + b (x - xb)^2 overflows on its grid.
+    of each point's offsets. Returns (a, xa, b, xb, grid_x): the width and
+    centre of each point's state at H, as (points x 1) columns or floats for
+    a single point; the widths and centres at H + dH, as (points x samples)
+    arrays like dH; and grid_x(n), the C-ordered (points x n) abscissae of
+    one grid per point, shared by all its samples. A point's grid spans the
+    union of its samples' ranges, each covering both Gaussians out to
+    halfwidth sigma. Each row is linspace's own arithmetic (step * arange,
+    then += start), so it is bit-identical to a 1-D np.linspace call;
+    linspace with array endpoints returns a strided array whose row sums
+    skip pairwise summation. A point's a = q H, xa = beta / a and a**-0.5
+    are Python floats: numpy's pow differs from Python's in the last bit on
+    about one input in twenty, even on a (1 x 1) array, so numpy here would
+    change the bits of a one-point fit. Everything after is elementwise or a
+    min or max over the point's own samples, so each point has the bits it
+    has alone. Raises DomainError if a dH is <= -H or a sample's exponent
+    a (x - xa)^2 + b (x - xb)^2 overflows on its point's grid.
     """
     dH = np.asarray(dH, dtype=float)
-    samples = dH.shape[1]
-    dH = dH.reshape(-1, 1)
-    H = _rows([p.H for p in points], samples)
-    if np.any(dH <= -H):
+    H = _columns([p.H for p in points])
+    if (dH <= -H).any():
         raise DomainError(f"dH must exceed -H, got dH={dH.min()}")
     scalars = []
     for p in points:
         a = p.q * p.H
         scalars.append((p.q, p.beta, a, p.beta / a, a**-0.5))
-    q, beta, a, xa, sa = _rows(scalars, samples)
+    q, beta, a, xa, sa = _columns(scalars)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # caught below
         b = q * (H + dH)
         xb = beta / b
         sb = b**-0.5
-        lo = np.minimum(xa - halfwidth * sa, xb - halfwidth * sb)
-        hi = np.maximum(xa + halfwidth * sa, xb + halfwidth * sb)
+        lo = np.minimum(xa - halfwidth * sa, xb - halfwidth * sb).min(axis=1, keepdims=True)
+        hi = np.maximum(xa + halfwidth * sa, xb + halfwidth * sb).max(axis=1, keepdims=True)
         ra = np.maximum(abs(lo - xa), abs(hi - xa))  # largest |x - xa| on the grid
         rb = np.maximum(abs(lo - xb), abs(hi - xb))
         exponent = a * (ra * ra) + b * (rb * rb)  # the kernel's order of operations
-    bad = ~np.isfinite(exponent[:, 0])
-    if bad.any():
-        i = bad.argmax()
+    if not np.isfinite(exponent).all():
+        i = (~np.isfinite(exponent)).any(axis=1).argmax()
         raise DomainError(
             f"overlap exponent overflows on the grid [{lo[i, 0]:.3g}, {hi[i, 0]:.3g}]"
         )
 
     def grid_x(n):
-        x = np.arange(n) * ((hi - lo) / (n - 1)) + lo
+        x = (hi - lo) / (n - 1) * np.arange(n)
+        x += lo
         x[:, -1] = hi[:, 0]
         return x
 
@@ -217,7 +217,7 @@ def _overlap_pairs(points, dH, halfwidth: float):
 
 
 def _check_edges(y, tolerance):
-    if np.any(np.maximum(y[:, 0], y[:, -1]) > tolerance * y.max(axis=-1)):
+    if (np.maximum(y[..., 0], y[..., -1]) > tolerance * y.max(axis=-1)).any():
         raise GridCoverageError("overlap integrand truncated at the grid edge")
 
 
@@ -252,7 +252,8 @@ def _overlap_deficits(points, dH, grid: QuadratureSpec = OVERLAP_GRID):
     """Per-particle deficits 1 - f = (1/2) int (psi_H - psi_{H+dH})^2 dx, one
     per point and dH, as a (points x samples) array like dH.
 
-    All samples share one (rows x grid) quadrature. The squared difference
+    All samples share one (points x samples x grid) quadrature, and each
+    point's samples share its grid, x^2 and psi_H^2. The squared difference
     is formed as psi_H^2 expm1(r)^2, with the log ratio r = log psi_{H+dH} -
     log psi_H = 1/4 log1p(d/a) - d (x^2 - xa xb)/2 and d = b - a exact, so
     the deficit keeps its relative precision where 1 - f would cancel. Far
@@ -265,12 +266,12 @@ def _overlap_deficits(points, dH, grid: QuadratureSpec = OVERLAP_GRID):
     loses more than one bit and the states are far from perturbative.
     """
     a, xa, b, xb, grid_x = _overlap_pairs(points, dH, grid.halfwidth)
-    samples = np.shape(dH)[1]
-    norm = _rows([0.5 * math.sqrt(p.q * p.H / math.pi) for p in points], samples)
+    norm = _columns([0.5 * math.sqrt(p.q * p.H / math.pi) for p in points])
     first = 4 * grid.panels + 1
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the finiteness check
         d = b - a  # exact (Sterbenz) while b/a lies in [1/2, 2]
         k = 0.25 * np.log1p(d / a) + 0.5 * d * (xa * xb)
+        d, k = d[..., None], k[..., None]  # (points x samples x 1)
 
         def make(npts):
             if npts != first and len(points) > 1:
@@ -280,15 +281,16 @@ def _overlap_deficits(points, dH, grid: QuadratureSpec = OVERLAP_GRID):
             y = kernels.overlap_deficit(x, a, xa, d, k)
             tail = ~np.isfinite(y)
             if tail.any():
-                y[tail] = np.exp(2.0 * (k - 0.5 * d * (x * x)) - a * (x - xa) ** 2)[tail]
+                y[tail] = np.exp(2.0 * (k - 0.5 * d * (x * x)[:, None])
+                                 - (a * (x - xa) ** 2)[:, None])[tail]
                 if not np.isfinite(y).all():
                     raise FitError("overlap deficit is not finite: the states no longer overlap")
             _check_edges(y, grid.tolerance)
-            return y, x
+            return y, x[:, None]
 
         value, _ = kernels.refined_simpson(make, grid)
-        u = (norm * value[:, None]).reshape(-1, samples)
-    if not np.all(u <= 0.5):
+        u = norm * value
+    if not (u <= 0.5).all():
         raise FitError(f"overlap deficit {u.max():.3g} exceeds 1/2: not perturbative")
     return u
 
@@ -296,7 +298,7 @@ def _overlap_deficits(points, dH, grid: QuadratureSpec = OVERLAP_GRID):
 def xi_f_from_fit_block(points, grid: QuadratureSpec = OVERLAP_GRID) -> list:
     """Susceptibility fits of several points, as xi_f_from_fit, from one quadrature.
 
-    The points' deficits are one (points * 8 x grid) array on their first
+    The points' deficits are one (points x 8 x grid) array on their first
     grid, so the block costs one refined_simpson call; keep it within
     FIT_BLOCK_ELEMENTS (fit_block_points). Each fit has the bits that
     xi_f_from_fit gives its point alone: every step is elementwise or a

@@ -14,10 +14,11 @@ is a configuration error. Defaults come from the parameter classes
 header, so re-running from the echoed block reproduces the artifact byte for
 byte.
 
-Exit codes: 0 success, 1 configuration failure, 2 numerical failure,
-including a parameter value outside its domain. An exit-2 diagnostic names
-the failing operation (the subcommand when no named operation was running)
-and, in a sweep, the parameter point.
+Exit codes: 0 success, 1 configuration failure (including an allocation the
+machine refuses, such as a sweep of more points than memory holds), 2
+numerical failure, including a parameter value outside its domain. An exit-2
+diagnostic names the failing operation (the subcommand when no named
+operation was running) and, in a sweep, the parameter point.
 """
 from __future__ import annotations
 
@@ -427,6 +428,9 @@ def main(argv=None) -> int:
         return _cmd_point(ns.subcommand, cfg, outdir)
     except (_UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a sweep of more points than memory holds
+        print(f"error: {ns.subcommand} ran out of memory: {exc}".rstrip(": "), file=sys.stderr)
         return 1
     except _NumericalFailure as exc:
         print(f"numerical failure in {exc.op}: {exc.cause}", file=sys.stderr)

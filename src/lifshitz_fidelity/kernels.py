@@ -17,14 +17,16 @@ scratch arrays of the grid's shape. No kernel writes into the grid it is
 given. All of them apply the same ufuncs to the same operands in the same
 order as the plain expressions they stand for (kept in tests/test_kernels.py
 as references), so every value is bit-identical; `**` with a scalar exponent
-stays an operator so numpy's square fast path still applies. The
-Gaussian kernels and `simpson` also take a (rows x n) grid with per-row
-parameters as (rows x 1) columns, and each row keeps the bits of a one-row
-call when the grid is C-ordered. A caller that fills such columns from
-per-point scalars computes each scalar in Python float arithmetic: numpy's
-pow differs from Python's in the last bit on some inputs, even on a (1 x 1)
-array, so a column computed in numpy would not keep the bits of the same
-point computed alone.
+stays an operator so numpy's square fast path still applies. The Gaussian
+product also takes a (rows x n) grid with per-row parameters as (rows x 1)
+columns; the overlap deficit takes one grid row per point and returns one row
+per point and sample (see its comment). `simpson` sums the last axis of any
+such array, with a step that broadcasts against the rest (one per point,
+say). Each row keeps the bits of a one-row call when the grid is C-ordered.
+A caller that fills such columns from per-point scalars computes each scalar
+in Python float arithmetic: numpy's pow differs from Python's in the last bit
+on some inputs, even on a (1 x 1) array, so a column computed in numpy would
+not keep the bits of the same point computed alone.
 """
 from __future__ import annotations
 
@@ -106,21 +108,25 @@ def overlap_deficit(x, a, xa, d, k):
     # Gaussians of widths a and b = a + d. expm1 keeps the difference to full
     # relative precision where psi_a - psi_b would cancel; its square
     # overflows far out on a wide grid, where the caller replaces it.
-    y = x - xa
+    # x is (points x n) with a and xa per point; d and k are (points x
+    # samples x 1), and the result is (points x samples x n): each point's
+    # psi_a^2 and x^2 are computed once and shared by its samples.
+    e = x - xa
+    e **= 2
+    e *= -a
+    np.exp(e, out=e)
+    x2 = x * x
+    y = x2[:, None, :] * (-0.5 * d)
+    y += k
+    np.expm1(y, out=y)
     y **= 2
-    y *= -a
-    np.exp(y, out=y)
-    g = x * x
-    g *= -0.5 * d
-    g += k
-    np.expm1(g, out=g)
-    g **= 2
-    y *= g
+    y *= e[:, None, :]
     return y
 
 
 def simpson(y, h):
-    """Composite Simpson over the last axis of y, step h (a scalar, or one per row)."""
+    """Composite Simpson over the last axis of y, step h (a scalar, or an array
+    that broadcasts against y's other axes, such as one per row)."""
     return (y[..., 0] + y[..., -1] + 4.0 * y[..., 1:-1:2].sum(axis=-1)
             + 2.0 * y[..., 2:-1:2].sum(axis=-1)) * (h / 3.0)
 
@@ -133,8 +139,10 @@ def refined_simpson(make_grid, spec):
     """Composite Simpson with Richardson extrapolation on a doubling grid.
 
     make_grid(n_points) must return (y, x): integrand values on the uniform
-    abscissae x, either 1-D or one row per integral (rows x n_points, C
-    order). The first call is on 4*panels + 1 points; each step sums Simpson
+    abscissae x, either 1-D or one row per integral (... x n_points, C order),
+    with x 1-D or of a shape that broadcasts against y, such as
+    (points x 1 x n_points) for (points x samples x n_points) values. The
+    first call is on 4*panels + 1 points; each step sums Simpson
     on that grid and on its even subsample and extrapolates. The grid doubles
     (2n - 1 points) until every row's error estimate is within
     tolerance * |value|, even a 1e-7 one; that step's (value, error_estimate)
@@ -155,10 +163,10 @@ def refined_simpson(make_grid, spec):
         err = abs(fine - coarse) / 15.0
         value = fine + (fine - coarse) / 15.0
         bound = spec.tolerance * abs(value)
-        if np.all(err <= bound):
+        if (err <= bound).all():
             break
         if 2 * n - 1 > MAX_GRID_POINTS:
-            err, bound = np.atleast_1d(err), np.atleast_1d(bound)
+            err, bound = np.ravel(err), np.ravel(bound)
             with np.errstate(divide="ignore", invalid="ignore"):
                 k = np.argmax(err / bound)  # the worst row
             raise ConvergenceError(f"quadrature stalled at {n} points: error estimate "

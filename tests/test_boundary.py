@@ -190,15 +190,35 @@ def test_overlap_quadrature_raises_where_no_grid_converges():
 
 def test_overlap_grid_rows_are_c_ordered_linspace_rows():
     # row sums of a strided grid (np.linspace with array endpoints) skip
-    # numpy's pairwise summation, so each row must be a contiguous linspace
-    p = BosonGasParams(q=1.3, H=0.7, beta=0.4)
-    _, _, _, _, grid_x = boundary._overlap_pairs([p], [np.linspace(-7e-3, 7e-3, 8)], 10.0)
+    # numpy's pairwise summation, so each point's row must be a contiguous linspace
+    block = [BosonGasParams(q=1.3, H=0.7, beta=0.4), BosonGasParams(q=0.2, H=3.0, beta=-2.0),
+             BosonGasParams(q=5.0, H=0.1, beta=1.0)]
+    dH = np.linspace(-7e-3, 7e-3, 8) * np.array([[p.H] for p in block])
+    _, _, _, _, grid_x = boundary._overlap_pairs(block, dH, 10.0)
     for n in (257, 262145):
         x = grid_x(n)
-        assert x.shape == (8, n) and x.flags.c_contiguous
+        assert x.shape == (3, n) and x.flags.c_contiguous
         for row in x:
             want = np.linspace(row[0], row[-1], n)
             assert np.array_equal(row.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0),
+                                 st.floats(-5.0, 5.0)), min_size=1, max_size=20),
+       halfwidth=st.floats(1.0, 500.0))
+def test_overlap_grid_covers_every_sample_of_its_point(points, halfwidth):
+    # one grid per point, shared by its dH samples: both Gaussians of every
+    # sample, (a, xa) and (b, xb), lie inside it to halfwidth sigma
+    block = [BosonGasParams(q=q, H=H, beta=beta) for q, H, beta in points]
+    dH = boundary.FIT_SAMPLE_SCALES * np.array([[p.H] for p in block])
+    a, xa, b, xb, grid_x = boundary._overlap_pairs(block, dH, halfwidth)
+    x = grid_x(257)
+    assert x.shape == (len(block), 257)
+    lo, hi = x[:, :1], x[:, -1:]
+    for width, centre in ((a, xa), (b, xb)):
+        reach = halfwidth * np.asarray(width) ** -0.5
+        assert np.all(lo <= centre - reach) and np.all(centre + reach <= hi)
 
 
 def test_overlap_deficit_matches_mpmath():

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lifshitz_fidelity import boundary, cli, geometry, kernels, volume
@@ -109,24 +112,27 @@ def test_bulk_sweep_builds_one_radial_grid_while_rp_and_r_inf_hold(tmp_path):
 
 
 def test_boundary_sweep_blocks_stay_within_the_element_budget(tmp_path, monkeypatch):
-    # a default sweep fits 15 points per deficit array; at panels 16384 one
-    # point's first grid alone exceeds the budget, so each call holds one point
+    # a default sweep fits 15 points per (points x samples x grid) deficit
+    # array; at panels 16384 one point's first grid alone exceeds the budget,
+    # so each call holds one point
     shapes = []
     overlap_deficit = kernels.overlap_deficit
 
-    def recorded(x, *args):
-        shapes.append(x.shape)
-        return overlap_deficit(x, *args)
+    def recorded(*args):
+        y = overlap_deficit(*args)
+        shapes.append(y.shape)
+        return y
 
     monkeypatch.setattr(kernels, "overlap_deficit", recorded)
     assert run(["sweep", "--axis", "H", "--from", "0.5", "--to", "4", "--points", "128",
                 "--out", str(tmp_path / "default")]) == 0
-    assert max(rows * n for rows, n in shapes) <= boundary.FIT_BLOCK_ELEMENTS
-    assert len(shapes) == 9 and sum(rows for rows, _ in shapes) == 128 * 8
+    assert max(math.prod(shape) for shape in shapes) <= boundary.FIT_BLOCK_ELEMENTS
+    assert len(shapes) == 9 and sum(points for points, _, _ in shapes) == 128
+    assert {samples for _, samples, _ in shapes} == {8}
     shapes.clear()
     assert run(["sweep", "--axis", "H", "--from", "0.5", "--to", "2", "--points", "3",
                 "--panels", "16384", "--out", str(tmp_path / "fine")]) == 0
-    assert shapes == [(8, 4 * 16384 + 1)] * 3
+    assert shapes == [(1, 8, 4 * 16384 + 1)] * 3
 
 
 @pytest.mark.parametrize("axis, extra", [("Qt", ["--r_inf", "150"]), ("H", [])],
@@ -321,6 +327,75 @@ def test_many_body_and_extreme_field_fits_succeed(tmp_path, args):
 def test_out_of_reach_configurations_exit_2_naming_the_cause(tmp_path, capsys, args, start):
     assert run(args + ["--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(start)
+
+
+def test_unallocatable_sweep_exits_1_naming_the_subcommand(tmp_path, capsys):
+    # 10**16 points are 80 PB, beyond the 128 TiB x86-64 user address space,
+    # so the allocation is refused without touching memory
+    args = ["sweep", "--axis", "H", "--from", "1", "--to", "2", "--points", str(10**16)]
+    assert run(args + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep ran out of memory: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+#: Every key some subcommand reads, and keys that none does.
+ARGV_KEYS = sorted({k for keys in cli.SUBCOMMAND_KEYS.values() for k in keys} | {"format"}) + [
+    "nonsense", "workers", "scheme", "z"]
+#: Valid raw values per key, small enough that a run stays fast: points <= 40, panels <= 1024.
+ARGV_VALID = {
+    **dict.fromkeys(("q", "m", "H", "L", "Qt", "rp", "G", "from"), ("0.3", "1", "2.5")),
+    "to": ("0.7", "1.5", "4"),
+    **dict.fromkeys(("beta", "k", "V0"), ("-1", "0", "0.7")),
+    "N": ("1", "7"), "xi": ("-1", "-0.3"), "r_inf": ("50", "250"),
+    "panels": ("64", "100", "1024"), "tolerance": ("1e-10", "1e-6"),
+    "halfwidth": ("10", "20", "500"), "points": tuple(str(n) for n in range(2, 41)),
+    "spacing": ("linear", "log"), "format": ("json", "csv"), "axis": (*AXES, "β", "r₊"),
+}
+#: Values outside a key's domain or that do not parse. A tolerance gets no tiny
+#: positive value, with which a quadrature refines to kernels.MAX_GRID_POINTS.
+ARGV_INVALID = ("-1", "0", "1e-300", "1e300", "inf", "nan", "abc", "", "63", "z")
+ARGV_INVALID_TOLERANCE = ("-1", "0", "inf", "nan", "abc", "")
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with some of the keys it reads (a sweep always with its
+    axis and range) and, one time in four, any other key, each with a valid
+    value or, one time in six, an invalid one."""
+    subcommand = draw(st.sampled_from([*cli.SUBCOMMAND_KEYS, "nonsense"]))
+    keys = cli.SUBCOMMAND_KEYS.get(subcommand, ()) + ("format",)
+    chosen = []
+    if subcommand == "sweep":
+        axis = cli._canonical_key(draw(st.sampled_from(ARGV_VALID["axis"])))
+        keys += cli.SUBCOMMAND_KEYS[cli._sweep_side(axis)]
+        chosen = ["axis", "from", "to", "points"]
+    chosen += draw(st.lists(st.sampled_from(keys), max_size=4, unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        chosen.append(draw(st.sampled_from(ARGV_KEYS)))
+    argv = [subcommand]
+    for key in chosen:
+        if key == "axis" and subcommand == "sweep":
+            value = axis
+        elif draw(st.integers(0, 5)):
+            value = draw(st.sampled_from(ARGV_VALID.get(key, ARGV_INVALID)))
+        else:
+            value = draw(st.sampled_from(
+                ARGV_INVALID_TOLERANCE if key == "tolerance" else ARGV_INVALID))
+        argv += [f"--{key}", value]
+    return argv + ["--log"] * (subcommand == "sweep" and draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argv())
+def test_any_argv_ends_with_exit_0_1_or_2(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = main(argv + ["--out", out])
+    event(f"exit {code} {argv[0]}")
+    assert code in (0, 1, 2)
+    assert (code == 0) == (stderr.getvalue() == "")
 
 
 def test_sweep_failure_names_the_parameter_point(tmp_path, capsys):

@@ -100,6 +100,28 @@ def test_refined_simpson_names_the_worst_row():
     assert err > bound == pytest.approx(1e-12 * 2.0 / 3.0, rel=1e-3)
 
 
+def test_refined_simpson_names_the_worst_row_of_a_block():
+    # (points x samples x n), as a block of fits has it: two rows stall, and
+    # x**0.25 (error ~ h^1.25) misses its bound by more than sqrt(x) (h^1.5)
+    def rows(x):
+        return np.stack([[np.exp(x), 2.0 * np.sqrt(x)], [np.cos(x), 3.0 * x**0.25]])
+
+    def make(n):
+        x = np.linspace(0.0, 1.0, n)
+        return rows(x), x[None, None]
+
+    def make_worst(n):
+        x = np.linspace(0.0, 1.0, n)
+        return rows(x)[1, 1], x
+
+    spec = QuadratureSpec(panels=64, tolerance=1e-12)
+    with pytest.raises(ConvergenceError) as block:
+        kernels.refined_simpson(make, spec)
+    with pytest.raises(ConvergenceError) as alone:
+        kernels.refined_simpson(make_worst, spec)
+    assert str(block.value) == str(alone.value)
+
+
 def test_radial_quadrature_reports_the_capped_estimate_as_stalled(monkeypatch):
     # a near-degenerate horizon: B = -1 - h + h/r^3 + r^2 with h = (2 - 1e-8)/3
     # has B(1) = 0 and B'(1) = 1e-8, so 1/sqrt(B) keeps a shoulder of width
@@ -225,32 +247,37 @@ def test_gaussian_product_matches_out_of_place_bits(npts, seed):
     _assert_same_bits(got, _ref_gaussian_product(x, a, xa, b, xb))
 
 
-def _fit_rows(seed, npts):
-    """A seeded boundary point's fit samples: (a, xa, b, xb, x) with one grid row per dH."""
+def _fit_block(seed, npts, points=2):
+    """A seeded block of boundary points' fit samples, in _overlap_deficits' layout:
+    (a, xa, b, xb, x, d, k) with a and xa as (points x 1) columns, b and xb
+    (points x 8), one grid row per point in x, and d and k (points x 8 x 1)."""
     rng = np.random.default_rng(seed)
-    q, H = rng.uniform(0.1, 10.0, 2)
-    beta_max = min(5.0, math.sqrt(100.0 * q * H / 4.0))
-    p = BosonGasParams(q=q, H=H, beta=rng.uniform(-beta_max, beta_max))
-    dH = np.sort(rng.uniform(-1e-2, 1e-2, 8)) * H
-    a, xa, b, xb, grid_x = boundary._overlap_pairs([p], [dH], 10.0)
-    return a, xa, b, xb, grid_x(npts)
+    block, dH = [], []
+    for _ in range(points):
+        q, H = rng.uniform(0.1, 10.0, 2)
+        beta_max = min(5.0, math.sqrt(100.0 * q * H / 4.0))
+        block.append(BosonGasParams(q=q, H=H, beta=rng.uniform(-beta_max, beta_max)))
+        dH.append(np.sort(rng.uniform(-1e-2, 1e-2, 8)) * H)
+    a, xa, b, xb, grid_x = boundary._overlap_pairs(block, dH, 10.0)
+    d = b - a
+    k = 0.25 * np.log1p(d / a) + 0.5 * d * (xa * xb)
+    return a, xa, b, xb, grid_x(npts), d[..., None], k[..., None]
 
 
 def _ref_overlap_deficit(x, a, xa, d, k):
-    return np.exp((x - xa) ** 2 * -a) * np.expm1(x * x * (-0.5 * d) + k) ** 2
+    # psi_a^2 and x^2 per point, broadcast over the point's samples
+    return np.exp((x - xa) ** 2 * -a)[:, None] * np.expm1((x * x)[:, None] * (-0.5 * d) + k) ** 2
 
 
 @pytest.mark.parametrize("npts", GRID_SIZES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_overlap_deficit_matches_out_of_place_bits(npts, seed):
-    a, xa, b, xb, x = _fit_rows(seed, npts)
-    d = b - a
-    k = 0.25 * np.log1p(d / a) + 0.5 * d * (xa * xb)
-    x = x[0].copy()
+    a, xa, b, xb, x, d, k = _fit_block(seed, npts)
     before = x.copy()
-    got = kernels.overlap_deficit(x, a, xa, float(d[0, 0]), float(k[0, 0]))
+    got = kernels.overlap_deficit(x, a, xa, d, k)
+    assert got.shape == (2, 8, npts)
     _assert_same_bits(x, before)
-    _assert_same_bits(got, _ref_overlap_deficit(x, a, xa, float(d[0, 0]), float(k[0, 0])))
+    _assert_same_bits(got, _ref_overlap_deficit(x, a, xa, d, k))
 
 
 # ---------- a batch of rows keeps each one-row call's bits ----------
@@ -261,30 +288,34 @@ BATCH_SIZES = [257, 262145]
 @pytest.mark.parametrize("npts", BATCH_SIZES)
 @pytest.mark.parametrize("seed", SEEDS[:2])
 def test_gaussian_product_rows_match_one_row_calls(npts, seed):
-    a, xa, b, xb, x = _fit_rows(seed, npts)
+    a, xa, b, xb, x, _, _ = _fit_block(seed, npts)
+    b, xb = b[:, -1:], xb[:, -1:]  # each point's largest dH
     got = kernels.gaussian_product(x, a, xa, b, xb)
     for i, row in enumerate(x):
-        _assert_same_bits(got[i], kernels.gaussian_product(row.copy(), a, xa, b[i, 0], xb[i, 0]))
+        _assert_same_bits(got[i], kernels.gaussian_product(row.copy(), a[i, 0], xa[i, 0],
+                                                           b[i, 0], xb[i, 0]))
 
 
 @pytest.mark.parametrize("npts", BATCH_SIZES)
 @pytest.mark.parametrize("seed", SEEDS[:2])
 def test_overlap_deficit_rows_match_one_row_calls(npts, seed):
-    a, xa, b, xb, x = _fit_rows(seed, npts)
-    d = b - a
-    k = 0.25 * np.log1p(d / a) + 0.5 * d * (xa * xb)
+    # a block's (point, dH) row has the bits of a call for that point and dH alone
+    a, xa, b, xb, x, d, k = _fit_block(seed, npts)
     got = kernels.overlap_deficit(x, a, xa, d, k)
-    for i, row in enumerate(x):
-        _assert_same_bits(got[i], kernels.overlap_deficit(row.copy(), a, xa, d[i, 0], k[i, 0]))
+    for i, j in np.ndindex(d.shape[:2]):
+        alone = kernels.overlap_deficit(x[i:i + 1].copy(), a[i, 0], xa[i, 0],
+                                        d[i:i + 1, j:j + 1], k[i:i + 1, j:j + 1])
+        _assert_same_bits(got[i, j], alone[0, 0])
 
 
 @pytest.mark.parametrize("npts", BATCH_SIZES)
 @pytest.mark.parametrize("seed", SEEDS[:2])
 def test_simpson_rows_match_one_row_calls(npts, seed):
-    a, xa, b, xb, x = _fit_rows(seed, npts)
-    y = kernels.gaussian_product(x, a, xa, b, xb)
-    h = (x[:, -1] - x[:, 0]) / (npts - 1)
+    # a (points x samples x n) integrand with one step per point, as a block of fits has it
+    a, xa, b, xb, x, d, k = _fit_block(seed, npts)
+    y = kernels.overlap_deficit(x, a, xa, d, k)
+    h = (x[:, -1:] - x[:, :1]) / (npts - 1)
     got = kernels.simpson(y, h)
-    assert got.shape == (len(x),)
-    for i in range(len(x)):
-        _assert_same_bits(got[i:i + 1], np.array([kernels.simpson(y[i].copy(), h[i])]))
+    assert got.shape == d.shape[:2]
+    for i, j in np.ndindex(got.shape):
+        _assert_same_bits(got[i, j:j + 1], np.array([kernels.simpson(y[i, j].copy(), h[i, 0])]))
