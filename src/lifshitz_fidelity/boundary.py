@@ -4,18 +4,22 @@ The per-particle problem reduces to a shifted 1D harmonic oscillator, so the
 ground state is a Gaussian of width parameter q*H centered at beta/(q*H).
 The susceptibility comes out two ways, a closed form and a fixed linear fit
 to quadrature overlap deficits; a sinc-DVR eigenvalue oracle checks the energy.
-Overlaps integrate the product of the two Gaussians, which keeps tiny
-overlaps to relative precision; the fit integrates the deficit
+Overlaps are integrated in t = sqrt(qH) (x - beta/(qH)), where
+psi_H^2 dx = exp(-t^2) dt/sqrt(pi); with s = dH/H and gamma = beta/sqrt(qH)
+every overlap depends on (s, gamma) alone (kernels.overlap_log_ratio), as
+does c_sq H^2 / N = 1/8 + gamma^2/2. Overlaps integrate the product, which
+keeps tiny overlaps to relative precision; the fit integrates the deficit
 (1/2) int (psi_H - psi_{H+dH})^2 dx instead, which keeps 1 - f ~ 1e-7 to
-relative precision. Both share one grid builder that lays out one C-ordered
-row per point, shared by all of the point's dH samples, so a block of fits
-goes through one (points x samples x grid) quadrature.
-Evaluation is at t = 0 with identical k and beta in both states, so the
+relative precision. Each point has one symmetric t grid, a C-ordered row
+shared by all of its dH samples, so a block of fits goes through one
+(points x samples x grid) quadrature.
+Evaluation is at time zero with identical k and beta in both states, so the
 plane-wave factors cancel and the transverse box modes contribute unit
 overlap.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,9 +59,9 @@ FIT_SOLVE = np.array([
 #: Elements of a block of fits' (points x samples x grid) deficit array on its
 #: first grid, FIT_SAMPLE_SCALES.size samples per point: 15 points on the
 #: default 257-point grid, one at panels = 16384. The fits of a 128-point
-#: default sweep took about 13 / 6 / 4 / 3.2 / 2.8 / 2.9 ms at 1 / 4 / 8 / 15 /
-#: 32 / 128 points per block (2-vCPU VM), and a whole 128-point block holds
-#: about 3 MB of temporaries.
+#: default sweep took about 11 / 4.2 / 2.9 / 2.4 / 2.2 / 2.3 ms at 1 / 4 / 8 /
+#: 15 / 32 / 128 points per block (2-vCPU VM), and a whole 128-point block
+#: holds about 3 MB of temporaries.
 FIT_BLOCK_ELEMENTS = 2**15
 
 
@@ -154,66 +158,38 @@ def fit_block_points(grid: QuadratureSpec) -> int:
     return max(1, FIT_BLOCK_ELEMENTS // (FIT_SAMPLE_SCALES.size * (4 * grid.panels + 1)))
 
 
-def _columns(values):
-    """Per-point floats, or equal-length tuples of them, as (points x 1)
-    columns; a single point's value is returned as it is."""
-    if len(values) == 1:
-        return values[0]
-    return np.array(values).T[..., None]
+@functools.lru_cache(maxsize=1)
+def _unit_grid(n):
+    """linspace(-1, 1, n), read-only; a point's t grid is its T times this."""
+    u = np.linspace(-1.0, 1.0, n)
+    u.flags.writeable = False
+    return u
 
 
-def _overlap_pairs(points, dH, halfwidth: float):
-    """Ground-state pairs at H and H + dH for each point and dH, and their grid.
+def _gammas(points):
+    """gamma = beta / sqrt(q H) of each point, as a (points x 1) column. It is
+    made of correctly rounded operations only, so a point has the same gamma
+    in any block; a q H that underflows to 0 raises ZeroDivisionError."""
+    return np.array([[p.beta / math.sqrt(p.q * p.H)] for p in points])
 
-    points is a sequence of BosonGasParams and dH a (points x samples) array
-    of each point's offsets. Returns (a, xa, b, xb, grid_x): the width and
-    centre of each point's state at H, as (points x 1) columns or floats for
-    a single point; the widths and centres at H + dH, as (points x samples)
-    arrays like dH; and grid_x(n), the C-ordered (points x n) abscissae of
-    one grid per point, shared by all its samples. A point's grid spans the
-    union of its samples' ranges, each covering both Gaussians out to
-    halfwidth sigma. Each row is linspace's own arithmetic (step * arange,
-    then += start), so it is bit-identical to a 1-D np.linspace call;
-    linspace with array endpoints returns a strided array whose row sums
-    skip pairwise summation. A point's a = q H, xa = beta / a and a**-0.5
-    are Python floats: numpy's pow differs from Python's in the last bit on
-    about one input in twenty, even on a (1 x 1) array, so numpy here would
-    change the bits of a one-point fit. Everything after is elementwise or a
-    min or max over the point's own samples, so each point has the bits it
-    has alone. Raises DomainError if a dH is <= -H or a sample's exponent
-    a (x - xa)^2 + b (x - xb)^2 overflows on its point's grid.
+
+def _halfwidths(gamma, s, halfwidth: float):
+    """The half-width T of each point's t grid [-T, T], a (points x 1) column
+    like gamma, for the 1-D samples s = dH / H: the grid covers psi_H (centre
+    0, sigma 1) and every psi_{H+dH} (centre -gamma s/(1 + s), sigma
+    1/sqrt(1 + s)) out to halfwidth sigma. T depends on the point alone.
+    Raises DomainError where 2 (1 + |s|) T (T + 2 |gamma|) overflows: it
+    bounds 2 |r| + t^2 and every intermediate of kernels.overlap_log_ratio.
     """
-    dH = np.asarray(dH, dtype=float)
-    H = _columns([p.H for p in points])
-    if (dH <= -H).any():
-        raise DomainError(f"dH must exceed -H, got dH={dH.min()}")
-    scalars = []
-    for p in points:
-        a = p.q * p.H
-        scalars.append((p.q, p.beta, a, p.beta / a, a**-0.5))
-    q, beta, a, xa, sa = _columns(scalars)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # caught below
-        b = q * (H + dH)
-        xb = beta / b
-        sb = b**-0.5
-        lo = np.minimum(xa - halfwidth * sa, xb - halfwidth * sb).min(axis=1, keepdims=True)
-        hi = np.maximum(xa + halfwidth * sa, xb + halfwidth * sb).max(axis=1, keepdims=True)
-        ra = np.maximum(abs(lo - xa), abs(hi - xa))  # largest |x - xa| on the grid
-        rb = np.maximum(abs(lo - xb), abs(hi - xb))
-        exponent = a * (ra * ra) + b * (rb * rb)  # the kernel's order of operations
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below
+        reach = (abs(gamma * s) + halfwidth * np.sqrt(1.0 + s)) / (1.0 + s)
+        T = np.maximum(halfwidth, reach.max(axis=1, keepdims=True))
+        exponent = 2.0 * (1.0 + abs(s).max()) * T * (T + 2.0 * abs(gamma))
     if not np.isfinite(exponent).all():
-        i = (~np.isfinite(exponent)).any(axis=1).argmax()
-        raise DomainError(
-            f"overlap exponent overflows on the grid [{lo[i, 0]:.3g}, {hi[i, 0]:.3g}]"
-        )
-
-    def grid_x(n):
-        x = (hi - lo) / (n - 1) * np.arange(n)
-        x += lo
-        x[:, -1] = hi[:, 0]
-        return x
-
-    return a, xa, b, xb, grid_x
+        i = (~np.isfinite(exponent)).argmax()
+        raise DomainError(f"overlap exponent overflows at gamma={gamma.flat[i]:.3g}, "
+                          f"halfwidth={halfwidth:.3g}")
+    return T
 
 
 def _check_edges(y, tolerance):
@@ -224,23 +200,28 @@ def _check_edges(y, tolerance):
 def overlap_quadrature(p: BosonGasParams, dH: float, grid: QuadratureSpec = OVERLAP_GRID) -> float:
     """Numerical overlap of the ground states at fields H and H + dH.
 
-    Integrates the product wavefunction by composite Simpson on a grid
-    covering both Gaussians out to grid.halfwidth sigma, so tiny overlaps
-    keep their relative precision; raises GridCoverageError if the integrand
-    has not decayed at the edges, and DomainError if its exponent
-    a (x - xa)^2 + b (x - xb)^2 overflows there.
+    Integrates the product wavefunction, exp(r - t^2) / sqrt(pi) at
+    s = dH / H, by composite Simpson on a grid covering both Gaussians out
+    to grid.halfwidth sigma, so tiny overlaps keep their relative precision.
+    Raises DomainError if s <= -1 or the exponent overflows on the grid, and
+    GridCoverageError if the integrand has not decayed at the edges.
     """
-    a, xa, b, xb, grid_x = _overlap_pairs([p], [[dH]], grid.halfwidth)
+    s = np.array([dH / p.H])
+    if not s[0] > -1.0:
+        raise DomainError(f"dH must exceed -H, got dH={dH}")
+    gamma = _gammas([p])
+    T = _halfwidths(gamma, s, grid.halfwidth)
 
     def make(npts):
-        x = grid_x(npts)
-        y = kernels.gaussian_product(x, a, xa, b, xb)
+        t = T * _unit_grid(npts)
+        y = kernels.overlap_log_ratio(t, gamma, s)
+        y -= (t * t)[:, None]
+        np.exp(y, out=y)
         _check_edges(y, grid.tolerance)
-        return y, x
+        return y, t[:, None]
 
     value, _ = kernels.refined_simpson(make, grid)
-    norm = (a * float(b[0, 0])) ** 0.25 / math.sqrt(math.pi)
-    return norm * float(value[0])
+    return float(value[0, 0]) / math.sqrt(math.pi)
 
 
 def fidelity(p: BosonGasParams, dH: float, grid: QuadratureSpec = OVERLAP_GRID) -> float:
@@ -248,48 +229,52 @@ def fidelity(p: BosonGasParams, dH: float, grid: QuadratureSpec = OVERLAP_GRID) 
     return overlap_quadrature(p, dH, grid) ** p.N
 
 
-def _overlap_deficits(points, dH, grid: QuadratureSpec = OVERLAP_GRID):
+def _overlap_deficits(gamma, s, grid: QuadratureSpec = OVERLAP_GRID):
     """Per-particle deficits 1 - f = (1/2) int (psi_H - psi_{H+dH})^2 dx, one
-    per point and dH, as a (points x samples) array like dH.
+    per point of the (points x 1) column gamma and per s of the 1-D samples
+    s = dH / H, as a (points x samples) array.
 
     All samples share one (points x samples x grid) quadrature, and each
-    point's samples share its grid, x^2 and psi_H^2. The squared difference
-    is formed as psi_H^2 expm1(r)^2, with the log ratio r = log psi_{H+dH} -
-    log psi_H = 1/4 log1p(d/a) - d (x^2 - xa xb)/2 and d = b - a exact, so
-    the deficit keeps its relative precision where 1 - f would cancel. Far
-    out on a wide grid expm1(r)^2 overflows where psi_H^2 underflows; there
-    the integrand is taken as exp(2 r - a (x - xa)^2). A single point
-    refines its grid as refined_simpson asks; several points share only the
-    first grid, and raise ConvergenceError if any of them needs a finer one.
-    Raises GridCoverageError as overlap_quadrature does, and FitError where
-    the integrand is not finite or a deficit exceeds 1/2, past which 1 - u
-    loses more than one bit and the states are far from perturbative.
+    point's samples share its t grid and exp(-t^2). The integrand is
+    exp(-t^2) expm1(r)^2 / (2 sqrt(pi)), so the deficit keeps its relative
+    precision where 1 - f would cancel. Far out on a wide grid expm1(r)^2
+    overflows where exp(-t^2) underflows (|t| past about 420 at
+    |s| = 4e-3); there the integrand is taken as exp(2 r - t^2). A single
+    point refines its grid as refined_simpson asks; several points share
+    only the first grid size, and raise ConvergenceError if any of them
+    needs a finer one. Raises DomainError and GridCoverageError as
+    overlap_quadrature does, and FitError where the integrand is not finite
+    (where gamma is so large that 2 r - t^2 is all rounding) or a deficit
+    exceeds 1/2, past which 1 - u loses more than one bit and the states are
+    far from perturbative.
     """
-    a, xa, b, xb, grid_x = _overlap_pairs(points, dH, grid.halfwidth)
-    norm = _columns([0.5 * math.sqrt(p.q * p.H / math.pi) for p in points])
+    T = _halfwidths(gamma, s, grid.halfwidth)
     first = 4 * grid.panels + 1
-    with np.errstate(over="ignore", invalid="ignore"):  # caught by the finiteness check
-        d = b - a  # exact (Sterbenz) while b/a lies in [1/2, 2]
-        k = 0.25 * np.log1p(d / a) + 0.5 * d * (xa * xb)
-        d, k = d[..., None], k[..., None]  # (points x samples x 1)
 
-        def make(npts):
-            if npts != first and len(points) > 1:
-                raise ConvergenceError(f"a block of {len(points)} fits shares only its "
-                                       f"first grid of {first} points")
-            x = grid_x(npts)
-            y = kernels.overlap_deficit(x, a, xa, d, k)
+    def make(npts):
+        if npts != first and len(gamma) > 1:
+            raise ConvergenceError(f"a block of {len(gamma)} fits shares only its "
+                                   f"first grid of {first} points")
+        t = T * _unit_grid(npts)
+        t2 = (t * t)[:, None]
+        y = kernels.overlap_log_ratio(t, gamma, s)
+        with np.errstate(over="ignore", invalid="ignore"):  # caught by the finiteness check
+            np.expm1(y, out=y)
+            y **= 2
+            y *= np.exp(-t2)
             tail = ~np.isfinite(y)
             if tail.any():
-                y[tail] = np.exp(2.0 * (k - 0.5 * d * (x * x)[:, None])
-                                 - (a * (x - xa) ** 2)[:, None])[tail]
+                r = kernels.overlap_log_ratio(t, gamma, s)
+                r *= 2.0
+                r -= t2
+                y[tail] = np.exp(r, out=r)[tail]
                 if not np.isfinite(y).all():
                     raise FitError("overlap deficit is not finite: the states no longer overlap")
-            _check_edges(y, grid.tolerance)
-            return y, x[:, None]
+        _check_edges(y, grid.tolerance)
+        return y, t[:, None]
 
-        value, _ = kernels.refined_simpson(make, grid)
-        u = norm * value
+    value, _ = kernels.refined_simpson(make, grid)
+    u = value / (2.0 * math.sqrt(math.pi))
     if not (u <= 0.5).all():
         raise FitError(f"overlap deficit {u.max():.3g} exceeds 1/2: not perturbative")
     return u
@@ -308,15 +293,14 @@ def xi_f_from_fit_block(points, grid: QuadratureSpec = OVERLAP_GRID) -> list:
     a grid finer than the first, and any error that one of its points
     raises alone, though not necessarily the first point's.
     """
-    dH = FIT_SAMPLE_SCALES * np.array([[p.H] for p in points])
-    log_f = np.log1p(-_overlap_deficits(points, dH, grid))
+    log_f = np.log1p(-_overlap_deficits(_gammas(points), FIT_SAMPLE_SCALES, grid))
     coef = np.matmul(FIT_SOLVE, log_f[:, :, None])
     misfit = np.matmul(FIT_DESIGN, coef)[:, :, 0] - log_f
     residuals = np.sqrt((misfit**2).sum(axis=1) / misfit.shape[1]).tolist()  # np.mean's bits
     fits = []
-    for p, c, dH_max, residual in zip(points, coef[:, 0, 0], dH[:, -1], residuals):
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            c_sq = 2 * p.N * (-c / dH_max**2)  # a numpy float: may underflow to 0 or overflow
+    for p, c, residual in zip(points, coef[:, 0, 0], residuals):
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):  # may under- or overflow
+            c_sq = 2 * p.N * (-c / (FIT_SAMPLE_SCALES[-1] * p.H) ** 2)
         if not (np.isfinite(c_sq) and c_sq > 0):
             raise FitError(f"fitted susceptibility {c_sq:.3g} is not a finite positive float")
         if residual > 1e-6 * -c:
@@ -332,14 +316,14 @@ def xi_f_from_fit(p: BosonGasParams, grid: QuadratureSpec = OVERLAP_GRID) -> Fid
 
     The N-particle overlap is F = f^N, so the fit is per particle: it fits
     log f = log1p(-u), with u the deficits of _overlap_deficits at
-    dH = FIT_SAMPLE_SCALES * H, against the powers 2..6 of dH / max|dH|. That
-    design neither under- nor overflows and is the same at every H, so the
-    fit is the fixed operator FIT_SOLVE. The powers above the quadratic
-    absorb the series tail, which otherwise biases the quadratic coefficient
-    -c. N enters only as the exact factor of c_sq = 2 N c, the dH^2
-    coefficient of 1 - F^2. Raises FitError if c_sq is not a finite positive
-    float or the residual exceeds 1e-6 of the quadratic term. This is the
-    block of one of xi_f_from_fit_block.
+    s = dH / H = FIT_SAMPLE_SCALES, so H + dH is never rounded, against the
+    powers 2..6 of dH / max|dH|. That design neither under- nor overflows and
+    is the same at every H, so the fit is the fixed operator FIT_SOLVE. The
+    powers above the quadratic absorb the series tail, which otherwise
+    biases the quadratic coefficient -c. N enters only as the exact factor
+    of c_sq = 2 N c, the dH^2 coefficient of 1 - F^2. Raises FitError if
+    c_sq is not a finite positive float or the residual exceeds 1e-6 of the
+    quadratic term. This is the block of one of xi_f_from_fit_block.
     """
     return xi_f_from_fit_block([p], grid)[0]
 

@@ -1,32 +1,26 @@
 """Hot numeric kernels, vectorized with numpy.
 
 Inner loops that dominate runtime: the singular-endpoint radial volume
-integrand, the Gaussian overlap product and overlap deficit, composite
-Simpson summation, and the adaptive refinement driver built on it, which owns
-the quadratures' convergence contract. Per-kernel timings come from
-`python3 perfbench/run.py` (see perfbench/README.md).
+integrand, the log ratio of the boundary's two Gaussian ground states,
+composite Simpson summation, and the adaptive refinement driver built on it,
+which owns the quadratures' convergence contract. Per-kernel timings come
+from `python3 perfbench/run.py` (see perfbench/README.md).
 
 The radial volume integrand is split in two. radial_factors builds the
 two arrays that depend only on the grid (k and G, which write B relative to
 its zero at rp), which a caller may cache and reuse across parameter points;
 radial_integrand runs the per-point pass over them RADIAL_BLOCK points at a
 time, four ufunc passes into one block-sized scratch array, so its working
-set stays in cache. The other grid kernels (the Gaussian product and the
-overlap deficit) evaluate in place: each allocates its output and at most two
-scratch arrays of the grid's shape. No kernel writes into the grid it is
+set stays in cache. The overlap log ratio, from which both overlap
+integrands are built, takes one grid row per point and returns one row per
+point and sample (see its comment). No kernel writes into the grid it is
 given. All of them apply the same ufuncs to the same operands in the same
 order as the plain expressions they stand for (kept in tests/test_kernels.py
 as references), so every value is bit-identical; `**` with a scalar exponent
-stays an operator so numpy's square fast path still applies. The Gaussian
-product also takes a (rows x n) grid with per-row parameters as (rows x 1)
-columns; the overlap deficit takes one grid row per point and returns one row
-per point and sample (see its comment). `simpson` sums the last axis of any
-such array, with a step that broadcasts against the rest (one per point,
-say). Each row keeps the bits of a one-row call when the grid is C-ordered.
-A caller that fills such columns from per-point scalars computes each scalar
-in Python float arithmetic: numpy's pow differs from Python's in the last bit
-on some inputs, even on a (1 x 1) array, so a column computed in numpy would
-not keep the bits of the same point computed alone.
+stays an operator so numpy's square fast path still applies. `simpson` sums
+the last axis of any such array, with a step that broadcasts against the
+rest (one per point, say). Each row keeps the bits of a one-row call when
+the grid is C-ordered.
 """
 from __future__ import annotations
 
@@ -90,38 +84,18 @@ def radial_integrand(factors, cv, cm, y0):
     return y
 
 
-def gaussian_product(x, a, xa, b, xb):
-    y = x - xa
-    y **= 2
-    y *= a
-    tmp = x - xb
-    tmp **= 2
-    tmp *= b
-    y += tmp
-    y *= -0.5
-    return np.exp(y, out=y)
-
-
-def overlap_deficit(x, a, xa, d, k):
-    # exp(-a (x - xa)^2) expm1(k - d x^2 / 2)^2 is (psi_a - psi_b)^2 over the
-    # normalization of psi_a^2 when k - d x^2 / 2 = log(psi_b / psi_a) for the
-    # Gaussians of widths a and b = a + d. expm1 keeps the difference to full
-    # relative precision where psi_a - psi_b would cancel; its square
-    # overflows far out on a wide grid, where the caller replaces it.
-    # x is (points x n) with a and xa per point; d and k are (points x
-    # samples x 1), and the result is (points x samples x n): each point's
-    # psi_a^2 and x^2 are computed once and shared by its samples.
-    e = x - xa
-    e **= 2
-    e *= -a
-    np.exp(e, out=e)
-    x2 = x * x
-    y = x2[:, None, :] * (-0.5 * d)
-    y += k
-    np.expm1(y, out=y)
-    y **= 2
-    y *= e[:, None, :]
-    return y
+def overlap_log_ratio(t, gamma, s):
+    # r = log(psi_{H+dH} / psi_H) = 1/4 log1p(s) - s t (t + 2 gamma) / 2
+    #     - gamma^2 s^2 / (2 (1 + s))
+    # at t = sqrt(qH) (x - beta/(qH)), s = dH/H and gamma = beta/sqrt(qH), so
+    # psi_H^2 dx = exp(-t^2) dt/sqrt(pi). t is (points x n), gamma (points x
+    # 1) and s the 1-D samples; the result is (points x samples x n), and
+    # t (t + 2 gamma) is formed once per point and shared by its samples.
+    w = t + 2.0 * gamma
+    w *= t
+    r = w[:, None, :] * (-0.5 * s)[:, None]
+    r += (0.25 * np.log1p(s) - 0.5 * (gamma * s) ** 2 / (1.0 + s))[..., None]
+    return r
 
 
 def simpson(y, h):

@@ -8,7 +8,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -25,6 +25,7 @@ from lifshitz_fidelity import (
     gaussian_overlap,
     ground_state,
     ground_state_wavefunction,
+    kernels,
     oscillator_spectrum_oracle,
     overlap_quadrature,
     xi_f_analytic,
@@ -188,19 +189,32 @@ def test_overlap_quadrature_raises_where_no_grid_converges():
         overlap_quadrature(BosonGasParams(), 0.3, QuadratureSpec(halfwidth=1e5))
 
 
-def test_overlap_grid_rows_are_c_ordered_linspace_rows():
-    # row sums of a strided grid (np.linspace with array endpoints) skip
-    # numpy's pairwise summation, so each point's row must be a contiguous linspace
+def test_overlap_grid_rows_are_c_ordered_linspace_rows(monkeypatch):
+    # row sums of a strided grid skip numpy's pairwise summation, so each
+    # point's t grid, as the deficits hand it to the kernel, must be a
+    # contiguous row: its half-width T times linspace(-1, 1, n), symmetric about 0
     block = [BosonGasParams(q=1.3, H=0.7, beta=0.4), BosonGasParams(q=0.2, H=3.0, beta=-2.0),
              BosonGasParams(q=5.0, H=0.1, beta=1.0)]
-    dH = np.linspace(-7e-3, 7e-3, 8) * np.array([[p.H] for p in block])
-    _, _, _, _, grid_x = boundary._overlap_pairs(block, dH, 10.0)
-    for n in (257, 262145):
-        x = grid_x(n)
-        assert x.shape == (3, n) and x.flags.c_contiguous
-        for row in x:
-            want = np.linspace(row[0], row[-1], n)
+    gamma = boundary._gammas(block)
+    s = boundary.FIT_SAMPLE_SCALES
+    grids = []
+    log_ratio = kernels.overlap_log_ratio
+
+    def recorded(t, *args):
+        grids.append(t.copy())
+        return log_ratio(t, *args)
+
+    monkeypatch.setattr(kernels, "overlap_log_ratio", recorded)
+    for panels in (64, 4096):
+        n = 4 * panels + 1
+        boundary._overlap_deficits(gamma, s, QuadratureSpec(panels=panels))
+        t = grids.pop()
+        assert t.shape == (3, n) and t.flags.c_contiguous
+        half = boundary._halfwidths(gamma, s, 10.0)[:, 0]
+        for row, T in zip(t, half):
+            want = T * np.linspace(-1.0, 1.0, n)
             assert np.array_equal(row.view(np.int64), want.view(np.int64))
+            assert row[0] == -T and row[-1] == T
 
 
 @settings(max_examples=100, deadline=None)
@@ -208,38 +222,51 @@ def test_overlap_grid_rows_are_c_ordered_linspace_rows():
                                  st.floats(-5.0, 5.0)), min_size=1, max_size=20),
        halfwidth=st.floats(1.0, 500.0))
 def test_overlap_grid_covers_every_sample_of_its_point(points, halfwidth):
-    # one grid per point, shared by its dH samples: both Gaussians of every
-    # sample, (a, xa) and (b, xb), lie inside it to halfwidth sigma
+    # one t grid [-T, T] per point, shared by its dH samples: psi_H (centre 0,
+    # sigma 1) and every psi_{H+dH} (centre -gamma s/(1 + s), sigma
+    # 1/sqrt(1 + s)) lie inside it to halfwidth sigma
     block = [BosonGasParams(q=q, H=H, beta=beta) for q, H, beta in points]
-    dH = boundary.FIT_SAMPLE_SCALES * np.array([[p.H] for p in block])
-    a, xa, b, xb, grid_x = boundary._overlap_pairs(block, dH, halfwidth)
-    x = grid_x(257)
-    assert x.shape == (len(block), 257)
-    lo, hi = x[:, :1], x[:, -1:]
-    for width, centre in ((a, xa), (b, xb)):
-        reach = halfwidth * np.asarray(width) ** -0.5
-        assert np.all(lo <= centre - reach) and np.all(centre + reach <= hi)
+    gamma = boundary._gammas(block)
+    s = boundary.FIT_SAMPLE_SCALES
+    T = boundary._halfwidths(gamma, s, halfwidth)
+    assert T.shape == (len(block), 1)
+    for centre, sigma in ((0.0 * s, 1.0), (-gamma * s / (1 + s), 1 / np.sqrt(1 + s))):
+        nearer_edge = np.minimum(T - centre, T + centre)
+        assert np.all(nearer_edge / sigma >= halfwidth * (1 - 1e-14))
 
 
 def test_overlap_deficit_matches_mpmath():
-    # 1 - f from the closed form at 30 digits, for the float widths the
-    # quadrature integrates; |dH|/H is log-uniform in [1e-5, 1e-2]
+    # 1 - f from the closed form at 30 digits, in the route's own inputs:
+    # Gaussians of widths 1 and 1 + s, the second centred at -gamma s/(1 + s);
+    # |s| is log-uniform in [1e-5, 1e-2] and |gamma| <= 5, so 4 gamma^2 <= 100
     mpmath.mp.dps = 30
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(60):
-        q, H = rng.uniform(0.1, 10.0, 2)
-        beta_max = min(5.0, math.sqrt(100.0 * q * H / 4.0))
-        p = BosonGasParams(q=q, H=H, beta=rng.uniform(-beta_max, beta_max))
-        dH = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-5.0, -2.0, 4) * H
-        u = boundary._overlap_deficits([p], [dH])[0]
-        for ui, dHi in zip(u, dH):
-            a, b = mpmath.mpf(q * H), mpmath.mpf(q * (H + dHi))
-            xa, xb = mpmath.mpf(p.beta) / a, mpmath.mpf(p.beta) / b
-            f = (a * b) ** 0.25 * mpmath.sqrt(2 / (a + b)) * mpmath.exp(
-                -a * b * (xa - xb) ** 2 / (2 * (a + b)))
+        gamma = rng.uniform(-5.0, 5.0)
+        s = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-5.0, -2.0, 4)
+        u = boundary._overlap_deficits(np.array([[gamma]]), s)[0]
+        for ui, si in zip(u, s):
+            width = 1 + mpmath.mpf(si)
+            shift = -mpmath.mpf(gamma) * mpmath.mpf(si) / width
+            f = width ** 0.25 * mpmath.sqrt(2 / (1 + width)) * mpmath.exp(
+                -width * shift**2 / (2 * (1 + width)))
             worst = max(worst, float(abs(ui - (1 - f)) / (1 - f)))
-    assert worst <= 1e-12
+    assert worst <= 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.floats(0.1, 10.0), H=st.floats(0.1, 10.0), beta=st.floats(-5.0, 5.0),
+       c=st.floats(0.5, 2.0))
+def test_fit_depends_on_gamma_alone(q, H, beta, c):
+    # (q, H, beta) and (c^2 q, H, c beta) have the same gamma = beta/sqrt(qH);
+    # where the float gammas agree bit for bit, so do the deficits at
+    # FIT_SAMPLE_SCALES, and with them the fits at the same H
+    p = BosonGasParams(q=q, H=H, beta=beta)
+    scaled = BosonGasParams(q=c * c * q, H=H, beta=c * beta)
+    gamma = boundary._gammas([p, scaled])[:, 0]
+    assume(gamma[0].tobytes() == gamma[1].tobytes())
+    assert _fit_bits([xi_f_from_fit(p)]) == _fit_bits([xi_f_from_fit(scaled)])
 
 
 # ---------- fidelity ----------
@@ -329,8 +356,9 @@ def test_fit_solve_is_the_pseudoinverse_of_the_design():
 
 def _lstsq_fit(p):
     # reference: the fit as a per-call least-squares solve on its own scaled design
-    d = np.array([s * p.H for s in (-4e-3, -3e-3, -2e-3, -1e-3, 1e-3, 2e-3, 3e-3, 4e-3)])
-    log_f = np.log1p(-boundary._overlap_deficits([p], [d])[0])
+    s = np.array([-4e-3, -3e-3, -2e-3, -1e-3, 1e-3, 2e-3, 3e-3, 4e-3])
+    d = s * p.H
+    log_f = np.log1p(-boundary._overlap_deficits(boundary._gammas([p]), s)[0])
     span = np.abs(d).max()
     coef, *_ = np.linalg.lstsq((d / span)[:, None] ** np.arange(2, 7), log_f, rcond=None)
     return 2 * p.N * (-coef[0] / span**2)
@@ -430,7 +458,7 @@ def test_fit_failures_on_the_wide_domain_are_named():
             exact = xi_f_analytic(p)
             worst = max(worst, abs(fit.c_sq - exact) / exact)
     assert failures <= 24
-    assert worst <= 1e-12
+    assert worst <= 1e-14
 
 
 # ---------- closed-form susceptibility ----------

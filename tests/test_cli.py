@@ -116,14 +116,14 @@ def test_boundary_sweep_blocks_stay_within_the_element_budget(tmp_path, monkeypa
     # array; at panels 16384 one point's first grid alone exceeds the budget,
     # so each call holds one point
     shapes = []
-    overlap_deficit = kernels.overlap_deficit
+    overlap_log_ratio = kernels.overlap_log_ratio
 
     def recorded(*args):
-        y = overlap_deficit(*args)
+        y = overlap_log_ratio(*args)
         shapes.append(y.shape)
         return y
 
-    monkeypatch.setattr(kernels, "overlap_deficit", recorded)
+    monkeypatch.setattr(kernels, "overlap_log_ratio", recorded)
     assert run(["sweep", "--axis", "H", "--from", "0.5", "--to", "4", "--points", "128",
                 "--out", str(tmp_path / "default")]) == 0
     assert max(math.prod(shape) for shape in shapes) <= boundary.FIT_BLOCK_ELEMENTS

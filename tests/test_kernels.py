@@ -165,8 +165,9 @@ def _ref_volume_integrand_r(s, span, mexp, cv, cm, rp, zexp, y0):
     return y
 
 
-def _ref_gaussian_product(x, a, xa, b, xb):
-    return np.exp(-0.5 * (a * (x - xa) ** 2 + b * (x - xb) ** 2))
+def _ref_overlap_log_ratio(t, gamma, s):
+    return ((t + 2.0 * gamma) * t)[:, None, :] * (-0.5 * s)[:, None] + (
+        0.25 * np.log1p(s) - 0.5 * (gamma * s) ** 2 / (1.0 + s))[..., None]
 
 
 def _assert_same_bits(got, want):
@@ -233,51 +234,59 @@ def test_cached_radial_grid_is_read_only():
             a[1] = 0.0
 
 
-@pytest.mark.parametrize("npts", GRID_SIZES)
-@pytest.mark.parametrize("seed", SEEDS)
-def test_gaussian_product_matches_out_of_place_bits(npts, seed):
-    rng = np.random.default_rng(seed)
-    a, b = rng.uniform(0.1, 10.0, 2)
-    xa, xb = rng.uniform(-3.0, 3.0, 2)
-    x = np.linspace(min(xa, xb) - 10.0 / np.sqrt(min(a, b)),
-                    max(xa, xb) + 10.0 / np.sqrt(min(a, b)), npts)
-    before = x.copy()
-    got = kernels.gaussian_product(x, a, xa, b, xb)
-    _assert_same_bits(x, before)
-    _assert_same_bits(got, _ref_gaussian_product(x, a, xa, b, xb))
-
-
 def _fit_block(seed, npts, points=2):
     """A seeded block of boundary points' fit samples, in _overlap_deficits' layout:
-    (a, xa, b, xb, x, d, k) with a and xa as (points x 1) columns, b and xb
-    (points x 8), one grid row per point in x, and d and k (points x 8 x 1)."""
+    (t, gamma, s) with one t grid row per point, gamma a (points x 1) column and
+    s the 8 samples dH / H."""
     rng = np.random.default_rng(seed)
-    block, dH = [], []
+    block = []
     for _ in range(points):
         q, H = rng.uniform(0.1, 10.0, 2)
         beta_max = min(5.0, math.sqrt(100.0 * q * H / 4.0))
         block.append(BosonGasParams(q=q, H=H, beta=rng.uniform(-beta_max, beta_max)))
-        dH.append(np.sort(rng.uniform(-1e-2, 1e-2, 8)) * H)
-    a, xa, b, xb, grid_x = boundary._overlap_pairs(block, dH, 10.0)
-    d = b - a
-    k = 0.25 * np.log1p(d / a) + 0.5 * d * (xa * xb)
-    return a, xa, b, xb, grid_x(npts), d[..., None], k[..., None]
+    s = np.sort(rng.uniform(-1e-2, 1e-2, 8))
+    gamma = boundary._gammas(block)
+    return boundary._halfwidths(gamma, s, 10.0) * boundary._unit_grid(npts), gamma, s
 
 
-def _ref_overlap_deficit(x, a, xa, d, k):
-    # psi_a^2 and x^2 per point, broadcast over the point's samples
-    return np.exp((x - xa) ** 2 * -a)[:, None] * np.expm1((x * x)[:, None] * (-0.5 * d) + k) ** 2
+def _gaussian_product(t, gamma, s):
+    # overlap_quadrature's integrand exp(r - t^2), built in place from the kernel's r
+    y = kernels.overlap_log_ratio(t, gamma, s)
+    y -= (t * t)[:, None]
+    return np.exp(y, out=y)
+
+
+def _overlap_deficit(t, gamma, s):
+    # _overlap_deficits' integrand exp(-t^2) expm1(r)^2, built in place from the kernel's r
+    y = np.expm1(kernels.overlap_log_ratio(t, gamma, s))
+    y **= 2
+    y *= np.exp(-(t * t)[:, None])
+    return y
+
+
+@pytest.mark.parametrize("npts", GRID_SIZES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gaussian_product_matches_out_of_place_bits(npts, seed):
+    t, gamma, s = _fit_block(seed, npts)
+    s = s[-1:]  # one dH per point, as overlap_quadrature has it
+    before = t.copy()
+    got = _gaussian_product(t, gamma, s)
+    _assert_same_bits(t, before)
+    _assert_same_bits(got, np.exp(_ref_overlap_log_ratio(t, gamma, s) - (t * t)[:, None]))
 
 
 @pytest.mark.parametrize("npts", GRID_SIZES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_overlap_deficit_matches_out_of_place_bits(npts, seed):
-    a, xa, b, xb, x, d, k = _fit_block(seed, npts)
-    before = x.copy()
-    got = kernels.overlap_deficit(x, a, xa, d, k)
-    assert got.shape == (2, 8, npts)
-    _assert_same_bits(x, before)
-    _assert_same_bits(got, _ref_overlap_deficit(x, a, xa, d, k))
+    t, gamma, s = _fit_block(seed, npts)
+    before = t.copy()
+    r = kernels.overlap_log_ratio(t, gamma, s)
+    assert r.shape == (2, 8, npts)
+    _assert_same_bits(t, before)
+    ref = _ref_overlap_log_ratio(t, gamma, s)
+    _assert_same_bits(r, ref)
+    _assert_same_bits(_overlap_deficit(t, gamma, s),
+                      np.exp(-(t * t)[:, None]) * np.expm1(ref) ** 2)
 
 
 # ---------- a batch of rows keeps each one-row call's bits ----------
@@ -288,23 +297,21 @@ BATCH_SIZES = [257, 262145]
 @pytest.mark.parametrize("npts", BATCH_SIZES)
 @pytest.mark.parametrize("seed", SEEDS[:2])
 def test_gaussian_product_rows_match_one_row_calls(npts, seed):
-    a, xa, b, xb, x, _, _ = _fit_block(seed, npts)
-    b, xb = b[:, -1:], xb[:, -1:]  # each point's largest dH
-    got = kernels.gaussian_product(x, a, xa, b, xb)
-    for i, row in enumerate(x):
-        _assert_same_bits(got[i], kernels.gaussian_product(row.copy(), a[i, 0], xa[i, 0],
-                                                           b[i, 0], xb[i, 0]))
+    t, gamma, s = _fit_block(seed, npts)
+    s = s[-1:]  # each point's largest dH
+    got = _gaussian_product(t, gamma, s)
+    for i in range(len(t)):
+        _assert_same_bits(got[i], _gaussian_product(t[i:i + 1].copy(), gamma[i:i + 1], s)[0])
 
 
 @pytest.mark.parametrize("npts", BATCH_SIZES)
 @pytest.mark.parametrize("seed", SEEDS[:2])
 def test_overlap_deficit_rows_match_one_row_calls(npts, seed):
     # a block's (point, dH) row has the bits of a call for that point and dH alone
-    a, xa, b, xb, x, d, k = _fit_block(seed, npts)
-    got = kernels.overlap_deficit(x, a, xa, d, k)
-    for i, j in np.ndindex(d.shape[:2]):
-        alone = kernels.overlap_deficit(x[i:i + 1].copy(), a[i, 0], xa[i, 0],
-                                        d[i:i + 1, j:j + 1], k[i:i + 1, j:j + 1])
+    t, gamma, s = _fit_block(seed, npts)
+    got = _overlap_deficit(t, gamma, s)
+    for i, j in np.ndindex(got.shape[:2]):
+        alone = _overlap_deficit(t[i:i + 1].copy(), gamma[i:i + 1], s[j:j + 1])
         _assert_same_bits(got[i, j], alone[0, 0])
 
 
@@ -312,10 +319,10 @@ def test_overlap_deficit_rows_match_one_row_calls(npts, seed):
 @pytest.mark.parametrize("seed", SEEDS[:2])
 def test_simpson_rows_match_one_row_calls(npts, seed):
     # a (points x samples x n) integrand with one step per point, as a block of fits has it
-    a, xa, b, xb, x, d, k = _fit_block(seed, npts)
-    y = kernels.overlap_deficit(x, a, xa, d, k)
-    h = (x[:, -1:] - x[:, :1]) / (npts - 1)
+    t, gamma, s = _fit_block(seed, npts)
+    y = _overlap_deficit(t, gamma, s)
+    h = (t[:, -1:] - t[:, :1]) / (npts - 1)
     got = kernels.simpson(y, h)
-    assert got.shape == d.shape[:2]
+    assert got.shape == (len(t), s.size)
     for i, j in np.ndindex(got.shape):
         _assert_same_bits(got[i, j:j + 1], np.array([kernels.simpson(y[i, j].copy(), h[i, 0])]))
