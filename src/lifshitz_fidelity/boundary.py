@@ -11,15 +11,13 @@ does c_sq H^2 / N = 1/8 + gamma^2/2. Overlaps integrate the product, which
 keeps tiny overlaps to relative precision; the fit integrates the deficit
 (1/2) int (psi_H - psi_{H+dH})^2 dx instead, which keeps 1 - f ~ 1e-7 to
 relative precision. Each point has one symmetric t grid, a C-ordered row
-shared by all of its dH samples, so a block of fits goes through one
-(points x samples x grid) quadrature.
-Evaluation is at time zero with identical k and beta in both states, so the
-plane-wave factors cancel and the transverse box modes contribute unit
-overlap.
+shared by all of its dH samples, so a block of fits is one (points x samples
+x grid) trapezoid quadrature. Evaluation is at time zero with identical k and
+beta in both states, so the plane-wave factors cancel and the transverse box
+modes contribute unit overlap.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +27,7 @@ from . import kernels
 from .errors import ConvergenceError, DomainError, FitError, GridCoverageError
 from .params import BosonGasParams, QuadratureSpec
 
-#: Default grid for overlap quadratures: +-10 sigma, Simpson from 257 points.
+#: Default grid for overlap quadratures: +-10 sigma, trapezoid from 257 points.
 OVERLAP_GRID = QuadratureSpec()
 #: Sinc-DVR grid of the eigenvalue oracle: DVR_POINTS points on +-DVR_HALFWIDTH sigma.
 #: At 51 points the discretization error is ~1e-26; more points only add roundoff,
@@ -158,14 +156,6 @@ def fit_block_points(grid: QuadratureSpec) -> int:
     return max(1, FIT_BLOCK_ELEMENTS // (FIT_SAMPLE_SCALES.size * (4 * grid.panels + 1)))
 
 
-@functools.lru_cache(maxsize=1)
-def _unit_grid(n):
-    """linspace(-1, 1, n), read-only; a point's t grid is its T times this."""
-    u = np.linspace(-1.0, 1.0, n)
-    u.flags.writeable = False
-    return u
-
-
 def _gammas(points):
     """gamma = beta / sqrt(q H) of each point, as a (points x 1) column. It is
     made of correctly rounded operations only, so a point has the same gamma
@@ -192,16 +182,19 @@ def _halfwidths(gamma, s, halfwidth: float):
     return T
 
 
-def _check_edges(y, tolerance):
+def _trapezoid_terms(y, w, tolerance):
+    """y times the trapezoid weights w, in y's array, once y has decayed at the grid edges."""
     if (np.maximum(y[..., 0], y[..., -1]) > tolerance * y.max(axis=-1)).any():
         raise GridCoverageError("overlap integrand truncated at the grid edge")
+    y *= w
+    return y
 
 
 def overlap_quadrature(p: BosonGasParams, dH: float, grid: QuadratureSpec = OVERLAP_GRID) -> float:
     """Numerical overlap of the ground states at fields H and H + dH.
 
     Integrates the product wavefunction, exp(r - t^2) / sqrt(pi) at
-    s = dH / H, by composite Simpson on a grid covering both Gaussians out
+    s = dH / H, by the trapezoid rule on a grid covering both Gaussians out
     to grid.halfwidth sigma, so tiny overlaps keep their relative precision.
     Raises DomainError if s <= -1 or the exponent overflows on the grid, and
     GridCoverageError if the integrand has not decayed at the edges.
@@ -213,15 +206,14 @@ def overlap_quadrature(p: BosonGasParams, dH: float, grid: QuadratureSpec = OVER
     T = _halfwidths(gamma, s, grid.halfwidth)
 
     def make(npts):
-        t = T * _unit_grid(npts)
+        unit, w, _ = kernels.trapezoid(npts)
+        t = T * unit
         y = kernels.overlap_log_ratio(t, gamma, s)
         y -= (t * t)[:, None]
-        np.exp(y, out=y)
-        _check_edges(y, grid.tolerance)
-        return y, t[:, None]
+        return _trapezoid_terms(np.exp(y, out=y), w, grid.tolerance)
 
-    value, _ = kernels.refined_simpson(make, grid)
-    return float(value[0, 0]) / math.sqrt(math.pi)
+    value, _ = kernels.nested_quadrature(make, kernels.trapezoid, grid)
+    return float(T[0, 0] * value[0, 0]) / math.sqrt(math.pi)
 
 
 def fidelity(p: BosonGasParams, dH: float, grid: QuadratureSpec = OVERLAP_GRID) -> float:
@@ -240,7 +232,7 @@ def _overlap_deficits(gamma, s, grid: QuadratureSpec = OVERLAP_GRID):
     precision where 1 - f would cancel. Far out on a wide grid expm1(r)^2
     overflows where exp(-t^2) underflows (|t| past about 420 at
     |s| = 4e-3); there the integrand is taken as exp(2 r - t^2). A single
-    point refines its grid as refined_simpson asks; several points share
+    point refines its grid as nested_quadrature asks; several points share
     only the first grid size, and raise ConvergenceError if any of them
     needs a finer one. Raises DomainError and GridCoverageError as
     overlap_quadrature does, and FitError where the integrand is not finite
@@ -255,7 +247,8 @@ def _overlap_deficits(gamma, s, grid: QuadratureSpec = OVERLAP_GRID):
         if npts != first and len(gamma) > 1:
             raise ConvergenceError(f"a block of {len(gamma)} fits shares only its "
                                    f"first grid of {first} points")
-        t = T * _unit_grid(npts)
+        unit, w, _ = kernels.trapezoid(npts)
+        t = T * unit
         t2 = (t * t)[:, None]
         y = kernels.overlap_log_ratio(t, gamma, s)
         with np.errstate(over="ignore", invalid="ignore"):  # caught by the finiteness check
@@ -270,11 +263,10 @@ def _overlap_deficits(gamma, s, grid: QuadratureSpec = OVERLAP_GRID):
                 y[tail] = np.exp(r, out=r)[tail]
                 if not np.isfinite(y).all():
                     raise FitError("overlap deficit is not finite: the states no longer overlap")
-        _check_edges(y, grid.tolerance)
-        return y, t[:, None]
+        return _trapezoid_terms(y, w, grid.tolerance)
 
-    value, _ = kernels.refined_simpson(make, grid)
-    u = value / (2.0 * math.sqrt(math.pi))
+    value, _ = kernels.nested_quadrature(make, kernels.trapezoid, grid)
+    u = T * value / (2.0 * math.sqrt(math.pi))
     if not (u <= 0.5).all():
         raise FitError(f"overlap deficit {u.max():.3g} exceeds 1/2: not perturbative")
     return u
@@ -284,7 +276,7 @@ def xi_f_from_fit_block(points, grid: QuadratureSpec = OVERLAP_GRID) -> list:
     """Susceptibility fits of several points, as xi_f_from_fit, from one quadrature.
 
     The points' deficits are one (points x 8 x grid) array on their first
-    grid, so the block costs one refined_simpson call; keep it within
+    grid, so the block costs one nested_quadrature call; keep it within
     FIT_BLOCK_ELEMENTS (fit_block_points). Each fit has the bits that
     xi_f_from_fit gives its point alone: every step is elementwise or a
     stacked np.matmul, which gives each stack the bits of FIT_SOLVE @ log_f

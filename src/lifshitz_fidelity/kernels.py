@@ -1,28 +1,22 @@
 """Hot numeric kernels, vectorized with numpy.
 
-Inner loops that dominate runtime: the singular-endpoint radial volume
-integrand, the log ratio of the boundary's two Gaussian ground states,
-composite Simpson summation, and the adaptive refinement driver built on it,
-which owns the quadratures' convergence contract. Per-kernel timings come
-from `python3 perfbench/run.py` (see perfbench/README.md).
-
-The radial volume integrand is split in two. radial_factors builds the
-two arrays that depend only on the grid (k and G, which write B relative to
-its zero at rp), which a caller may cache and reuse across parameter points;
-radial_integrand runs the per-point pass over them RADIAL_BLOCK points at a
-time, four ufunc passes into one block-sized scratch array, so its working
-set stays in cache. The overlap log ratio, from which both overlap
-integrands are built, takes one grid row per point and returns one row per
-point and sample (see its comment). No kernel writes into the grid it is
-given. All of them apply the same ufuncs to the same operands in the same
-order as the plain expressions they stand for (kept in tests/test_kernels.py
-as references), so every value is bit-identical; `**` with a scalar exponent
-stays an operator so numpy's square fast path still applies. `simpson` sums
-the last axis of any such array, with a step that broadcasts against the
-rest (one per point, say). Each row keeps the bits of a one-row call when
-the grid is C-ordered.
+The radial volume integrand comes in two parts: radial_factors builds the
+arrays that depend only on the grid (k and G, which write B relative to its
+zero at rp), which a caller may cache across parameter points, and
+radial_integrand runs the per-point pass over them in cache-sized blocks.
+overlap_log_ratio builds both overlap integrands. nested_quadrature owns the
+convergence contract, with two nested rules: Clenshaw-Curtis for the
+analytic bulk integrands (Trefethen, SIAM Rev. 50, 67 (2008)) and the
+trapezoid rule for the decayed overlap Gaussians (Trefethen & Weideman, SIAM
+Rev. 56, 385 (2014)). No kernel writes into the grid it is given, and each
+applies the same ufuncs to the same operands in the same order as the plain
+expression it stands for (kept in tests/test_kernels.py as references), so
+every value is bit-identical; `**` with a scalar exponent stays an operator
+for numpy's square fast path.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -98,44 +92,64 @@ def overlap_log_ratio(t, gamma, s):
     return r
 
 
-def simpson(y, h):
-    """Composite Simpson over the last axis of y, step h (a scalar, or an array
-    that broadcasts against y's other axes, such as one per row)."""
-    return (y[..., 0] + y[..., -1] + 4.0 * y[..., 1:-1:2].sum(axis=-1)
-            + 2.0 * y[..., 2:-1:2].sum(axis=-1)) * (h / 3.0)
+def _clenshaw_curtis_weights(n):
+    # the inverse real FFT of the moments 2/(1 - (2k)^2) of the even Chebyshev
+    # polynomials, end weights halved (Waldvogel, BIT 46, 195 (2006)), on [0, 1]
+    k = np.arange(n // 2 + 1)
+    w = np.append(np.fft.irfft(2.0 / (1.0 - 4.0 * k * k), n - 1), 0.0)
+    w[[0, -1]] = 0.5 * w[0]
+    return 0.5 * w
 
 
-#: Largest grid refined_simpson evaluates after its first one.
+@functools.lru_cache(maxsize=2)
+def clenshaw_curtis(n):
+    """Clenshaw-Curtis on [0, 1], odd n >= 5: (nodes, weights, coarse), read-only and
+    cached for two n. The nodes are sin^2(pi j/(2n - 2)), those of (n + 1)/2 the even
+    subsample bit for bit; the weights are positive and exact for degree n - 1; coarse,
+    the (n + 1)/2-node weights over weights[::2], reweights the even terms."""
+    w = _clenshaw_curtis_weights(n)
+    coarse = _clenshaw_curtis_weights((n + 1) // 2) / w[::2]
+    s = np.sin(np.pi * np.arange(n) / (2 * (n - 1))) ** 2
+    s.flags.writeable = w.flags.writeable = coarse.flags.writeable = False
+    return s, w, coarse
+
+
+@functools.lru_cache(maxsize=2)
+def trapezoid(n):
+    """The trapezoid rule at linspace(-1, 1, n), as clenshaw_curtis; coarse doubles each weight."""
+    u, w = np.linspace(-1.0, 1.0, n), np.full(n, 2.0 / (n - 1))
+    w[[0, -1]] = 1.0 / (n - 1)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w, 2.0
+
+
+#: Largest grid nested_quadrature evaluates after its first one.
 MAX_GRID_POINTS = 2**20 + 1
+#: Floor of each error estimate relative to |value|: once the two sums agree to
+#: rounding (within 2.3 eps on perfbench/bulk_reference.json, whose errors reach
+#: 2.7 eps), their difference bounds nothing.
+ROUNDOFF_FLOOR = 8 * np.finfo(float).eps
 
 
-def refined_simpson(make_grid, spec):
-    """Composite Simpson with Richardson extrapolation on a doubling grid.
+def nested_quadrature(make_terms, rule, spec):
+    """(value, error estimate) of a nested rule on a doubling grid.
 
-    make_grid(n_points) must return (y, x): integrand values on the uniform
-    abscissae x, either 1-D or one row per integral (... x n_points, C order),
-    with x 1-D or of a shape that broadcasts against y, such as
-    (points x 1 x n_points) for (points x samples x n_points) values. The
-    first call is on 4*panels + 1 points; each step sums Simpson
-    on that grid and on its even subsample and extrapolates. The grid doubles
-    (2n - 1 points) until every row's error estimate is within
-    tolerance * |value|, even a 1e-7 one; that step's (value, error_estimate)
-    is returned, as floats for a 1-D grid and arrays (one per row) otherwise.
-    If the next grid would exceed MAX_GRID_POINTS first, it raises
-    ConvergenceError naming the last grid size, the worst row's error
-    estimate and that row's bound. The error estimate is |fine - coarse|/15,
-    the error of the un-extrapolated fine sum: an upper bound for the
-    extrapolated value, often a loose one (at the bulk defaults it is 1.7e-7,
-    while the value is within 1e-12 of a converged one).
+    make_terms(n) returns the integrand times the weights of rule(n)
+    (clenshaw_curtis or trapezoid) on its n nodes, 1-D or one row per
+    integral (... x n, C order). From 4*panels + 1 nodes the grid doubles
+    (2n - 1) until every row's estimate is within tolerance * |value|: the
+    estimate is |Q(n) - Q((n + 1)/2)|, the coarse sum reweighting the even
+    terms, floored at ROUNDOFF_FLOOR |Q(n)|. Returns (Q(n), estimate), floats
+    for a 1-D grid and arrays otherwise, each row with the bits of a one-row
+    call; past MAX_GRID_POINTS it raises ConvergenceError naming the last
+    size, the worst row's estimate and bound.
     """
     n = 4 * spec.panels + 1
     while True:
-        y, x = make_grid(n)
-        h = (x[..., -1] - x[..., 0]) / (n - 1)  # a neighbour difference loses eps*|x[0]|/h relative
-        coarse = simpson(y[..., ::2], h * 2)
-        fine = simpson(y, h)
-        err = abs(fine - coarse) / 15.0
-        value = fine + (fine - coarse) / 15.0
+        terms = make_terms(n)
+        value = terms.sum(axis=-1)
+        coarse = (terms[..., ::2] * rule(n)[2]).sum(axis=-1)
+        err = np.maximum(abs(value - coarse), ROUNDOFF_FLOOR * abs(value))
         bound = spec.tolerance * abs(value)
         if (err <= bound).all():
             break
@@ -146,6 +160,6 @@ def refined_simpson(make_grid, spec):
             raise ConvergenceError(f"quadrature stalled at {n} points: error estimate "
                                    f"{err[k]:.3e} exceeds tolerance * |value| = {bound[k]:.3e}")
         n = 2 * n - 1
-    if y.ndim == 1:
+    if terms.ndim == 1:
         return float(value), float(err)
     return value, err

@@ -110,19 +110,17 @@ class BulkParams:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for the composite-Simpson quadratures.
+    """Controls for the nested quadratures (kernels.nested_quadrature).
 
-    panels     Simpson panels of the coarse sum of the first step: its grid
-               carries 4*panels + 1 <= kernels.MAX_GRID_POINTS points and the
-               coarse sum its even subsample; the grid then doubles until the
-               Richardson error estimate meets tolerance (kernels.refined_simpson)
+    panels     the first grid has 4*panels + 1 <= kernels.MAX_GRID_POINTS
+               nodes; it doubles until the error estimate meets tolerance
     tolerance  relative threshold: a quadrature returns only once every
                error estimate is within tolerance * |value|, else raises
                ConvergenceError; also the Gaussian grids' tail-coverage test
     halfwidth  Gaussian-grid half width in units of sigma
 
-    The bulk quadratures absorb inverse-square-root endpoint singularities
-    with fixed substitutions (r = rp + (r_inf - rp) s^2 on the radial grid,
+    The bulk quadratures (Clenshaw-Curtis) absorb inverse-square-root endpoint
+    singularities with fixed substitutions (r = rp + (r_inf - rp) s^2 radially,
     w = eps^(s^2) on the w grid), whose endpoint limits are derived in closed form.
     """
 

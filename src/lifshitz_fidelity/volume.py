@@ -1,11 +1,10 @@
 """Maximal-volume engine.
 
 Evaluates V = integral of r^2/sqrt(B(r)) per unit boundary two-area, three
-ways: direct radial quadrature with the horizon 1/sqrt(r - rp) singularity
-absorbed by an endpoint substitution, the same integral in the inverted
-coordinate w = rp/r (either with the full blackening factor or with the
-truncated integrand that drops the constant term) as one quadrature on the
-map w = eps^(s^2), and the z = 4 truncated closed form
+ways: by Clenshaw-Curtis in s on the radial map r = rp + (r_inf - rp) s^2,
+which absorbs the horizon's 1/sqrt(r - rp), and on the map w = eps^(s^2) of
+the inverted coordinate w = rp/r (with the full blackening factor, or the
+truncated integrand without its constant term), and the z = 4 closed form
 
     V = rp^3 * A / (3840 (-b_minus2)^(9/2)) + rp^3 / (2 eps^2 sqrt(-b_minus2)),
     A = 640 b_minus2^3 (b1 - 3 b_minus2).
@@ -16,8 +15,8 @@ piece is removed by subtracting the horizonless background B_bg = cv + c r^2
 V0 != 0. The background volume is the closed form r sqrt(B_bg)/(2c) -
 cv T/(2 c^(3/2)), T = asinh(r sqrt(c/cv)), 0 or acosh(r/r_min) for cv > 0,
 = 0 or < 0 (background_volume). The difference is one integral with no
-cancellation, its cutoffs and limit rows of a single quadrature; the eps^-2
-fit is one fixed row of its least-squares operator, applied to w-coordinate
+cancellation, its cutoffs and limit rows of one quadrature; the eps^-2 fit
+is one fixed row of its least-squares operator, applied to w-coordinate
 volumes that are the rows of one quadrature.
 """
 from __future__ import annotations
@@ -98,25 +97,21 @@ class RegularizationSweep:
 
 # ---------- generic quadrature cores ----------
 
-def _scale(*vals):
-    return max(*(abs(v) for v in vals), 1e-300)
-
-
 @functools.lru_cache(maxsize=1)
 def _radial_grid(npts, span, rp, zexp):
-    """The s grid of _integrate_r and its radial factors (k, G), read-only.
-    They do not depend on cv, cm or hcoef, so the points of a bulk sweep that
-    keeps rp and r_inf share one grid."""
-    s = np.linspace(0.0, 1.0, npts)
-    factors = kernels.radial_factors(s, span, rp, zexp)
-    for a in (s, *factors):
-        a.flags.writeable = False
-    return s, factors
+    """_integrate_r's radial factors (k w, G) on npts Clenshaw-Curtis nodes, w the
+    weights, read-only, so kernels.radial_integrand returns the rule's terms. They do
+    not depend on cv, cm or hcoef: a bulk sweep that keeps rp and r_inf shares them."""
+    s, w, _ = kernels.clenshaw_curtis(npts)
+    k, g = kernels.radial_factors(s, span, rp, zexp)
+    k *= w
+    k.flags.writeable = g.flags.writeable = False
+    return k, g
 
 
 def _integrate_r(cv, cm, hcoef, rp, zexp, hi, spec):
     """Radial quadrature of r^2/sqrt(B) on [rp, hi] for the parametric B,
-    in s with r = rp + (hi - rp) s^2. hcoef = cm rp^2 - cv
+    by Clenshaw-Curtis in s with r = rp + (hi - rp) s^2. hcoef = cm rp^2 - cv
     (geometry.falloff_coefficient) makes B(rp) a zero, so the integrand's
     value at s = 0 is its limit 2 rp^2 sqrt((hi - rp)/B'(rp)). The integrand
     is k/sqrt(cv - cm G) (kernels.radial_factors), B written relative to
@@ -128,28 +123,26 @@ def _integrate_r(cv, cm, hcoef, rp, zexp, hi, spec):
     y0 = 2.0 * rp * rp * math.sqrt(span / bp)
 
     def make(npts):
-        s, factors = _radial_grid(npts, span, rp, zexp)
-        y = kernels.radial_integrand(factors, cv, cm, y0)
-        if not np.all(np.isfinite(y)):
-            raise NonPositiveBlackeningError(
-                "blackening factor non-positive inside the integration domain"
-            )
-        return y, s
+        terms = kernels.radial_integrand(_radial_grid(npts, span, rp, zexp), cv, cm,
+                                         y0 * kernels.clenshaw_curtis(npts)[1][0])
+        if not np.all(np.isfinite(terms)):
+            raise NonPositiveBlackeningError("blackening factor non-positive inside the integration domain")
+        return terms
 
-    return kernels.refined_simpson(make, spec)
+    return kernels.nested_quadrature(make, kernels.clenshaw_curtis, spec)
 
 
 def _integrate_w(cvterm, bcoef, bm2, zexp, eps, spec):
     """Quadrature of 1/(w^4 sqrt(b(w))) on [eps, 1], one row per entry of the 1-D eps.
 
-    b(w) = cvterm + bcoef*w^zexp - bm2/w^2. In s, w = eps^(s^2) is uniform in
-    u = -log w = lam s^2 toward eps, where the integrand 2 lam s e^(3u)/sqrt(b)
+    b(w) = cvterm + bcoef*w^zexp - bm2/w^2, by Clenshaw-Curtis in s: w = eps^(s^2)
+    is uniform in u = -log w = lam s^2 toward eps, where the integrand 2 lam s e^(3u)/sqrt(b)
     grows like w^-3, and the Jacobian absorbs a 1/sqrt zero of b at w = 1 (the
     horizon image). An endpoint zero b(1) is set to 0, so b = b(1) + bcoef
     expm1(-zexp u) - bm2 expm1(2u) has no cancellation near w = 1.
     """
     b_one = cvterm + bcoef - bm2
-    scale = _scale(cvterm, bcoef, bm2)
+    scale = max(abs(cvterm), abs(bcoef), abs(bm2), 1e-300)
     if b_one < -ENDPOINT_ZERO_TOL * scale:
         raise NonPositiveBlackeningError(f"integrand imaginary at w = 1: b(1) = {b_one}")
 
@@ -165,7 +158,7 @@ def _integrate_w(cvterm, bcoef, bm2, zexp, eps, spec):
         y0 = 2.0 * np.sqrt(lam[:, 0] / -bp_one)
 
     def make(npts):
-        s = np.linspace(0.0, 1.0, npts)
+        s, weights, _ = kernels.clenshaw_curtis(npts)
         u = lam * s * s
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             b = b_one + bcoef * np.expm1(-zexp * u) - bm2 * np.expm1(2.0 * u)
@@ -173,9 +166,9 @@ def _integrate_w(cvterm, bcoef, bm2, zexp, eps, spec):
         y[:, 0] = y0
         if not np.all(np.isfinite(y)):
             raise NonPositiveBlackeningError("integrand non-positive on the w grid")
-        return y, s
+        return y * weights
 
-    return kernels.refined_simpson(make, spec)
+    return kernels.nested_quadrature(make, kernels.clenshaw_curtis, spec)
 
 
 # ---------- volume operations ----------
@@ -358,39 +351,42 @@ def _subtracted_volumes(p: BulkParams, eps, spec: QuadratureSpec) -> np.ndarray:
     hcoef (rp/r)^(1+z/2) turns the difference of integrands, in w = rp/r, into
     -rp^3 hcoef w^(z/2) / (sb sg (sb + sg)) with sg^2 = cv w^2 - cm rp^2 and
     sb^2 = w^2 B(rp/w) = sg^2 + hcoef w^(3+z/2): no eps^-2 term cancels. Each
-    row is integrated over [eps, w0 = rp/r0] in w = w0 - (w0 - eps) sin^2(pi s/2),
-    which absorbs the 1/sqrt zero at w0 (of sb at rp, of sg at r_min) and
-    the w^(z/2) branch point at w = 0.
+    row is integrated over [eps, w0 = rp/r0] by Clenshaw-Curtis in s, with
+    w = w0 - d, d = (w0 - eps) sin^2(pi s/2), which absorbs the 1/sqrt zero
+    at w0 (of sb at rp, of sg at r_min) and the w^(z/2) branch point at w = 0;
+    that square is written through d, relative to its zero.
     """
     cv, cm, hcoef, _ = _param_coeffs(p)
     if cm >= 0:
         raise NonPositiveBlackeningError("background volume requires Lambda + Qt^2 xi < 0")
     cmr2, half_z, top = cm * p.rp**2, p.z / 2.0, 3.0 + p.z / 2.0
-    if abs(hcoef) <= ENDPOINT_ZERO_TOL * _scale(cv, cmr2):  # B_bg(rp) = -hcoef is a zero:
+    if abs(hcoef) <= ENDPOINT_ZERO_TOL * max(abs(cv), abs(cmr2), 1e-300):  # B_bg(rp) = -hcoef is a zero:
         return np.zeros(eps.shape)  # the geometries coincide
     r_min = math.sqrt(cv / cm) if cv < 0 else 0.0
-    if r_min <= p.rp:  # slope and lead: sb^2 ~ -slope (w0 - w), sg^2 -> lead at w0
-        below, w0 = -background_volume(p, p.rp).value, 1.0
+    if r_min <= p.rp:  # sb^2 ~ -slope d, and sg^2 = sb^2 - hcoef w^top -> lead at w0
+        below, w0, sign = -background_volume(p, p.rp).value, 1.0, -1.0
         slope, lead = 2.0 * cv + top * hcoef, cv - cmr2
-    else:  # sg^2 ~ -slope (w0 - w), sb^2 -> lead
-        below, w0 = volume_exact(p, r_min, spec).value, p.rp / r_min
+    else:  # sg^2 ~ -slope d, and sb^2 = sg^2 + hcoef w^top -> lead
+        below, w0, sign = volume_exact(p, r_min, spec).value, p.rp / r_min, 1.0
         slope, lead = 2.0 * cv * w0, cv * w0**2 + hcoef * w0**top - cmr2
     span = (w0 - eps)[:, None]
     y0 = math.pi * np.sqrt(span[:, 0]) * w0**half_z / (math.sqrt(-slope) * lead)
 
     def make(npts):
-        s = np.linspace(0.0, 1.0, npts)
-        w = w0 - span * np.sin(0.5 * math.pi * s) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sg2 = cv * w * w - cmr2
-            sg, sb = np.sqrt(sg2), np.sqrt(sg2 + hcoef * w**top)
-            y = 0.5 * math.pi * span * np.sin(math.pi * s) * w**half_z / (sb * sg * (sb + sg))
+        s, weights, _ = kernels.clenshaw_curtis(npts)
+        d = span * np.sin(0.5 * math.pi * s) ** 2  # w0 - w
+        w = w0 - d
+        with np.errstate(divide="ignore", invalid="ignore"):  # sb^2, or sg^2 (cv w0^2 = cm rp^2)
+            zero2 = (hcoef * np.expm1(top * np.log1p(-d)) - cv * d * (2.0 - d) if sign < 0
+                     else -cv * d * (2.0 * w0 - d))
+            zero, other = np.sqrt(zero2), np.sqrt(zero2 + sign * hcoef * w**top)  # {sb, sg}
+            y = 0.5 * math.pi * span * np.sin(math.pi * s) * w**half_z / (zero * other * (zero + other))
         y[:, 0] = y0
         if not np.all(np.isfinite(y)):
             raise NonPositiveBlackeningError("B or B_bg non-positive inside the integration domain")
-        return y, s
+        return y * weights
 
-    value, _ = kernels.refined_simpson(make, spec)
+    value, _ = kernels.nested_quadrature(make, kernels.clenshaw_curtis, spec)
     return below - p.rp**3 * hcoef * value
 
 

@@ -51,8 +51,9 @@ CASES = [
     ["sweep", "--axis", "H", "--from", "0.5", "--to", "4", "--points", "16",
      "--q", "1.3", "--beta", "0.7"],
     ["sweep", "--axis", "beta", "--from", "-2", "--to", "2", "--points", "9"],
-    # a boundary sweep fits its points in blocks that share a first grid: 10 of
-    # these points converge on it and 2 refine, so their block runs point by point
+    # a boundary sweep fits its points in blocks that share a first grid; at a
+    # tight tolerance all 12 of these converge on it (the block fallback runs
+    # in the exit-2 beta sweep below)
     ["sweep", "--axis", "beta", "--from", "-5", "--to", "5", "--points", "12",
      "--halfwidth", "18", "--tolerance", "1e-12"],
     # crosses block edges

@@ -183,10 +183,10 @@ def test_overlap_quadrature_detects_truncated_tails():
 
 
 def test_overlap_quadrature_raises_where_no_grid_converges():
-    # at 1e5 sigma the largest grid's estimate is still 1.8e-8 relative, and
-    # its value is 1.8e-8 off the closed form
+    # at 1e6 sigma the largest grid's step is about 1.9 sigma, and its
+    # estimate is 94% of its value; at 1e5 sigma that grid converges
     with pytest.raises(ConvergenceError, match="stalled at"):
-        overlap_quadrature(BosonGasParams(), 0.3, QuadratureSpec(halfwidth=1e5))
+        overlap_quadrature(BosonGasParams(), 0.3, QuadratureSpec(halfwidth=1e6))
 
 
 def test_overlap_grid_rows_are_c_ordered_linspace_rows(monkeypatch):
@@ -400,7 +400,7 @@ def _raises(fn, *args):
 def test_fit_block_has_the_bits_of_one_point_fits(points, refining):
     # q, H and beta from the verify suite's ranges; the refining spec makes
     # some points need a grid finer than the first, which a block declines
-    spec = QuadratureSpec(halfwidth=18.0, tolerance=1e-12) if refining else QuadratureSpec()
+    spec = QuadratureSpec(halfwidth=34.5, tolerance=1e-12) if refining else QuadratureSpec()
     points = [BosonGasParams(N=N, q=q, H=H, beta=beta) for q, H, beta, N in points]
     try:
         fits = boundary.xi_f_from_fit_block(points, spec)
@@ -415,8 +415,10 @@ def test_fit_block_has_the_bits_of_one_point_fits(points, refining):
 
 
 def test_fit_block_declines_a_finer_grid():
-    # at halfwidth 18 and tolerance 1e-12, beta = 0 needs a second grid and beta = -5 does not
-    spec = QuadratureSpec(halfwidth=18.0, tolerance=1e-12)
+    # at halfwidth 34.5 the first grid's coarse step, 2T/128, is about 0.54
+    # sigma, near the trapezoid rule's limit at tolerance 1e-12: beta = 0 needs
+    # a second grid and beta = -5 does not (halfwidths 33.5 to 35 split them so)
+    spec = QuadratureSpec(halfwidth=34.5, tolerance=1e-12)
     slow, fast = BosonGasParams(beta=0.0), BosonGasParams(beta=-5.0)
     with pytest.raises(ConvergenceError, match="shares only its first grid"):
         boundary.xi_f_from_fit_block([fast, slow], spec)

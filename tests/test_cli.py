@@ -311,6 +311,7 @@ def test_arithmetic_failures_exit_2_without_traceback(tmp_path, capsys, args):
     ["--N", "300", "--q", "0.3", "--H", "0.5", "--beta", "1"],
     ["--H", "1e-78"],
     ["--halfwidth", "500"],  # the deficit's expm1(...)^2 overflows on the far tail
+    ["--halfwidth", "100000"],  # converges on the largest grid, 1048577 points
 ])
 def test_many_body_and_extreme_field_fits_succeed(tmp_path, args):
     assert run(["boundary", *args, "--out", str(tmp_path)]) == 0
@@ -319,8 +320,8 @@ def test_many_body_and_extreme_field_fits_succeed(tmp_path, args):
 
 
 @pytest.mark.parametrize("args, start", [
-    # no grid up to kernels.MAX_GRID_POINTS meets the tolerance at 1e5 sigma
-    (["boundary", "--halfwidth", "100000"], "numerical failure in xi_f_from_fit: quadrature stalled"),
+    # no grid up to kernels.MAX_GRID_POINTS meets the tolerance at 1e6 sigma
+    (["boundary", "--halfwidth", "1000000"], "numerical failure in xi_f_from_fit: quadrature stalled"),
     # the radial grid's factor 2 (r_inf - rp) r_inf^2 overflows
     (["bulk", "--r_inf", "1e103"], "numerical failure in volume_exact: r_inf=1e+103"),
 ])

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson as scipy_simpson
+from scipy.integrate import trapezoid as scipy_trapezoid
 
 from lifshitz_fidelity import (
     BosonGasParams,
@@ -16,109 +16,150 @@ from lifshitz_fidelity import (
 )
 
 
-def test_simpson_integrates_sine():
-    x = np.linspace(0.0, np.pi, 2049)
-    val = kernels.simpson(np.sin(x), x[1] - x[0])
-    assert val == pytest.approx(2.0, rel=1e-10)
+EPS = np.finfo(float).eps
 
 
-def test_simpson_matches_scipy():
-    x = np.linspace(0.0, 3.0, 513)
-    y = np.exp(-(x**2))
-    assert kernels.simpson(y, x[1] - x[0]) == pytest.approx(
-        scipy_simpson(y, x=x), rel=1e-12
-    )
+def _cc_terms(f):
+    """make_terms for f on [0, 1] under Clenshaw-Curtis."""
+    return lambda n: f(kernels.clenshaw_curtis(n)[0]) * kernels.clenshaw_curtis(n)[1]
 
 
-def test_refined_simpson_richardson_improves_estimate():
-    def make(n):
-        x = np.linspace(0.0, 1.0, n)
-        return x**6, x
+def _trapezoid_terms(f):
+    """make_terms for f on [-1, 1] under the trapezoid rule."""
+    return lambda n: f(kernels.trapezoid(n)[0]) * kernels.trapezoid(n)[1]
 
-    value, err = kernels.refined_simpson(make, QuadratureSpec(panels=64))
-    assert value == pytest.approx(1.0 / 7.0, rel=1e-12)
-    assert err >= 0.0
+
+def test_clenshaw_curtis_integrates_sine():
+    # int_0^pi sin x dx = pi int_0^1 sin(pi s) ds = 2
+    assert np.pi * _cc_terms(lambda s: np.sin(np.pi * s))(33).sum() == pytest.approx(2.0, rel=1e-14)
+
+
+def test_trapezoid_matches_scipy():
+    u = np.linspace(-1.0, 1.0, 513)
+    y = np.exp(-((3.0 * u) ** 2))
+    assert (y * kernels.trapezoid(513)[1]).sum() == pytest.approx(scipy_trapezoid(y, x=u), rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [5, 9, 17, 257, 1025])
+def test_clenshaw_curtis_weights_integrate_polynomials_exactly(n):
+    # the weights sum to 1 and integrate s^k on [0, 1] for every k <= n - 1,
+    # and the coarse rule's for every k <= (n - 1)/2, within a few ulps
+    s, w, coarse = kernels.clenshaw_curtis(n)
+    k = np.arange(n)[:, None]
+    for nodes, weights in ((s, w), (s[::2], w[::2] * coarse)):
+        assert abs(weights.sum() - 1.0) <= 2 * EPS
+        degree = k[:nodes.size]
+        assert np.abs((weights * nodes**degree).sum(axis=-1) - 1.0 / (degree[:, 0] + 1)).max() <= 2 * EPS
+    assert (w > 0).all()
+    for a in (s, w, coarse):
+        with pytest.raises(ValueError):
+            a[0] = 0.0  # cached, so read-only
+
+
+def test_coarse_nodes_are_the_even_subsample():
+    # the coarse sum of each step reads the grid's even subsample as the
+    # nodes of (n + 1)/2: both node sets must agree bit for bit, for either rule
+    for rule in (kernels.clenshaw_curtis, kernels.trapezoid):
+        n = 257
+        while 2 * n - 1 <= kernels.MAX_GRID_POINTS:
+            fine, coarse = rule(2 * n - 1)[0], rule(n)[0]
+            assert np.array_equal(fine[::2].view(np.int64), coarse.view(np.int64))
+            assert (coarse[0], coarse[-1]) in ((0.0, 1.0), (-1.0, 1.0))
+            n = 2 * n - 1
+    u, w, coarse = kernels.trapezoid(513)
+    assert np.array_equal(w[::2] * coarse, kernels.trapezoid(257)[1])
+    for a in (u, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0  # cached, so read-only
+
+
+@pytest.mark.parametrize("f, exact", [
+    (np.exp, np.e - 1.0),
+    (lambda s: 1.0 / (1.0 + 25.0 * (2.0 * s - 1.0) ** 2), math.atan(5.0) / 5.0),  # Runge
+    (lambda s: np.sqrt(s), 2.0 / 3.0),  # an endpoint singularity: algebraic convergence
+    (lambda s: np.abs(s - 1.0 / 3.0) ** 1.5, 0.4 * ((1 / 3) ** 2.5 + (2 / 3) ** 2.5)),
+], ids=["exp", "runge", "sqrt", "kink"])
+def test_nested_quadrature_estimate_bounds_its_error(f, exact):
+    # the returned value is the fine sum, and the estimate bounds its error
+    for panels in (64, 256, 1024):
+        value, err = kernels.nested_quadrature(_cc_terms(f), kernels.clenshaw_curtis,
+                                               QuadratureSpec(panels=panels, tolerance=1e-6))
+        assert abs(value - exact) <= err
 
 
 @pytest.mark.parametrize("multiple", [1, 2, 3])
-def test_refined_simpson_evaluates_one_grid(multiple):
-    # an integrand that converges on the first grid, 4*panels + 1 points, is
-    # evaluated once: the coarse Simpson sum is its even subsample
+def test_nested_quadrature_evaluates_one_grid(multiple):
+    # an integrand that converges on the first grid, 4*panels + 1 nodes, is
+    # evaluated once: the coarse sum is its even subsample
     panels = 64 * multiple
     calls = []
 
     def make(n):
         calls.append(n)
-        x = np.linspace(0.0, 1.0, n)
-        return np.exp(x), x
+        return _cc_terms(np.exp)(n)
 
-    value, err = kernels.refined_simpson(make, QuadratureSpec(panels=panels))
+    value, err = kernels.nested_quadrature(make, kernels.clenshaw_curtis, QuadratureSpec(panels=panels))
     assert calls == [4 * panels + 1]
     assert err <= 1e-10
-    assert value == pytest.approx(np.e - 1.0, rel=1e-12)
+    assert value == pytest.approx(np.e - 1.0, rel=1e-14)
 
 
-def test_refined_simpson_doubles_until_every_row_converges():
+def test_nested_quadrature_doubles_until_every_row_converges():
     calls = []
 
     def make(n):  # a smooth row that converges on the first grid, and a narrow one
         calls.append(n)
-        x = np.linspace(0.0, 1.0, n)
-        return np.stack([np.exp(x), np.exp(-(((x - 0.5) / 0.01) ** 2))]), np.stack([x, x])
+        return _cc_terms(lambda s: np.stack([np.exp(s), np.exp(-(((s - 0.5) / 0.01) ** 2))]))(n)
 
     spec = QuadratureSpec(panels=64)
-    value, err = kernels.refined_simpson(make, spec)
+    value, err = kernels.nested_quadrature(make, kernels.clenshaw_curtis, spec)
     assert calls[0] == 4 * spec.panels + 1 and len(calls) > 1
     assert calls[1:] == [2 * n - 1 for n in calls[:-1]]
-    assert np.all(err <= spec.tolerance)
-    assert value[0] == pytest.approx(np.e - 1.0, rel=1e-12)
-    assert abs(value[1] - 0.01 * math.sqrt(math.pi)) <= spec.tolerance
+    assert np.all(err <= spec.tolerance * abs(value))
+    assert value[0] == pytest.approx(np.e - 1.0, rel=1e-14)
+    assert abs(value[1] - 0.01 * math.sqrt(math.pi)) <= err[1]
 
 
-def test_refined_simpson_stops_at_max_grid_points():
+def _sqrt(u):
+    # sqrt(1 + u) on u in [-1, 1]: the trapezoid rule's error is ~ h^1.5, so
+    # no grid meets tolerance 1e-12
+    return np.sqrt(1.0 + u)
+
+
+def test_nested_quadrature_stops_at_max_grid_points():
     calls = []
 
-    def make(n):  # sqrt(x) converges as h^1.5, and no grid meets tolerance 1e-300
+    def make(n):
         calls.append(n)
-        x = np.linspace(0.0, 1.0, n)
-        return np.sqrt(x), x
+        return _trapezoid_terms(_sqrt)(n)
 
     with pytest.raises(ConvergenceError, match=f"stalled at {kernels.MAX_GRID_POINTS} points"):
-        kernels.refined_simpson(make, QuadratureSpec(panels=64, tolerance=1e-300))
+        kernels.nested_quadrature(make, kernels.trapezoid, QuadratureSpec(panels=64, tolerance=1e-12))
     assert calls == [4 * 64 * 2**k + 1 for k in range(len(calls))]
     assert calls[-1] <= kernels.MAX_GRID_POINTS < 2 * calls[-1] - 1
 
 
-def test_refined_simpson_names_the_worst_row():
-    def make(n):  # row 0 converges, row 1 cannot meet its bound
-        x = np.linspace(0.0, 1.0, n)
-        return np.stack([np.exp(x), np.sqrt(x)]), np.stack([x, x])
-
+def test_nested_quadrature_names_the_worst_row():
+    # row 0, a decayed Gaussian, converges; row 1 cannot meet its bound
+    make = _trapezoid_terms(lambda u: np.stack([np.exp(-((10.0 * u) ** 2)), _sqrt(u)]))
     with pytest.raises(ConvergenceError) as info:
-        kernels.refined_simpson(make, QuadratureSpec(panels=64, tolerance=1e-12))
+        kernels.nested_quadrature(make, kernels.trapezoid, QuadratureSpec(panels=64, tolerance=1e-12))
     err, bound = (float(v) for v in re.findall(r"\d\.\d{3}e[-+]\d+", str(info.value)))
-    assert err > bound == pytest.approx(1e-12 * 2.0 / 3.0, rel=1e-3)
+    assert err > bound == pytest.approx(1e-12 * 2.0**1.5 * 2.0 / 3.0, rel=1e-3)
 
 
-def test_refined_simpson_names_the_worst_row_of_a_block():
+def test_nested_quadrature_names_the_worst_row_of_a_block():
     # (points x samples x n), as a block of fits has it: two rows stall, and
-    # x**0.25 (error ~ h^1.25) misses its bound by more than sqrt(x) (h^1.5)
-    def rows(x):
-        return np.stack([[np.exp(x), 2.0 * np.sqrt(x)], [np.cos(x), 3.0 * x**0.25]])
-
-    def make(n):
-        x = np.linspace(0.0, 1.0, n)
-        return rows(x), x[None, None]
-
-    def make_worst(n):
-        x = np.linspace(0.0, 1.0, n)
-        return rows(x)[1, 1], x
+    # (1 + u)**0.25 (error ~ h^1.25) misses its bound by more than sqrt(1 + u) (h^1.5)
+    def rows(u):
+        return np.stack([[np.exp(-((10.0 * u) ** 2)), 2.0 * np.sqrt(1.0 + u)],
+                         [np.exp(-((20.0 * u) ** 2)), 3.0 * (1.0 + u) ** 0.25]])
 
     spec = QuadratureSpec(panels=64, tolerance=1e-12)
     with pytest.raises(ConvergenceError) as block:
-        kernels.refined_simpson(make, spec)
+        kernels.nested_quadrature(_trapezoid_terms(rows), kernels.trapezoid, spec)
     with pytest.raises(ConvergenceError) as alone:
-        kernels.refined_simpson(make_worst, spec)
+        kernels.nested_quadrature(_trapezoid_terms(lambda u: rows(u)[1, 1]), kernels.trapezoid, spec)
     assert str(block.value) == str(alone.value)
 
 
@@ -127,12 +168,12 @@ def test_radial_quadrature_reports_the_capped_estimate_as_stalled(monkeypatch):
     # has B(1) = 0 and B'(1) = 1e-8, so 1/sqrt(B) keeps a shoulder of width
     # about 1e-9 above rp = 1 that no grid resolves to tolerance 1e-14
     calls = []
-    refined_simpson = kernels.refined_simpson
+    quadrature = kernels.nested_quadrature
 
-    def counted(make, spec):
-        return refined_simpson(lambda n: calls.append(n) or make(n), spec)
+    def counted(make, weights, spec):
+        return quadrature(lambda n: calls.append(n) or make(n), weights, spec)
 
-    monkeypatch.setattr(kernels, "refined_simpson", counted)
+    monkeypatch.setattr(kernels, "nested_quadrature", counted)
     h = (2.0 - 1e-8) / 3.0
     with pytest.raises(ConvergenceError):
         volume._integrate_r(-1.0 - h, -1.0, h, 1.0, 3.0, 10.0, QuadratureSpec(tolerance=1e-14))
@@ -228,8 +269,8 @@ def test_radial_kernels_match_out_of_place_bits_at_block_edges(npts, mexp):
 
 
 def test_cached_radial_grid_is_read_only():
-    s, (k, g) = volume._radial_grid(257, 99.0, 1.0, 3.0)
-    for a in (s, k, g):
+    k, g = volume._radial_grid(257, 99.0, 1.0, 3.0)
+    for a in (k, g):
         with pytest.raises(ValueError):
             a[1] = 0.0
 
@@ -246,7 +287,7 @@ def _fit_block(seed, npts, points=2):
         block.append(BosonGasParams(q=q, H=H, beta=rng.uniform(-beta_max, beta_max)))
     s = np.sort(rng.uniform(-1e-2, 1e-2, 8))
     gamma = boundary._gammas(block)
-    return boundary._halfwidths(gamma, s, 10.0) * boundary._unit_grid(npts), gamma, s
+    return boundary._halfwidths(gamma, s, 10.0) * kernels.trapezoid(npts)[0], gamma, s
 
 
 def _gaussian_product(t, gamma, s):
@@ -317,12 +358,16 @@ def test_overlap_deficit_rows_match_one_row_calls(npts, seed):
 
 @pytest.mark.parametrize("npts", BATCH_SIZES)
 @pytest.mark.parametrize("seed", SEEDS[:2])
-def test_simpson_rows_match_one_row_calls(npts, seed):
-    # a (points x samples x n) integrand with one step per point, as a block of fits has it
+def test_quadrature_rows_match_one_row_calls(npts, seed):
+    # a (points x samples x n) integrand, as a block of fits has it, under
+    # either rule: each row's value and estimate have the bits of a one-row call
     t, gamma, s = _fit_block(seed, npts)
     y = _overlap_deficit(t, gamma, s)
-    h = (t[:, -1:] - t[:, :1]) / (npts - 1)
-    got = kernels.simpson(y, h)
-    assert got.shape == (len(t), s.size)
-    for i, j in np.ndindex(got.shape):
-        _assert_same_bits(got[i, j:j + 1], np.array([kernels.simpson(y[i, j].copy(), h[i, 0])]))
+    spec = QuadratureSpec(panels=(npts - 1) // 4, tolerance=1.0)
+    for rule in (kernels.trapezoid, kernels.clenshaw_curtis):
+        got = kernels.nested_quadrature(lambda n: y * rule(n)[1], rule, spec)
+        assert got[0].shape == got[1].shape == (len(t), s.size)
+        for i, j in np.ndindex(got[0].shape):
+            alone = kernels.nested_quadrature(lambda n: y[i, j] * rule(n)[1], rule, spec)
+            for block_value, value in zip(got, alone):
+                _assert_same_bits(block_value[i, j:j + 1], np.array([value]))

@@ -1,5 +1,7 @@
+import json
 import math
 import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -106,6 +108,38 @@ def test_volume_exact_near_the_horizon_matches_mpmath(args, eps, want):
     assert volume_exact(p, p.rp / eps).value == pytest.approx(want, rel=1e-10, abs=0)
 
 
+#: Two near-degenerate horizons (B'(rp) = 0.15 c rp at the first) with their
+#: IR cutoff factors r_inf / rp and volumes from a 60-digit mpmath quadrature
+#: of perfbench/make_reference.py's w-coordinate integrand at the same floats
+DEGENERATE_HORIZON_VOLUMES = [
+    ((-0.5, 1.451171875, -2.04296875), 400.0, 532796.5057562391708596246),
+    ((-6.5, 0.359375, -1.5), 200.0, 2265.97778999847197401628),
+]
+
+
+def _reference_volumes():
+    """(params, r_inf, volume) of the 384 perfbench/bulk_reference.json volumes
+    (30-digit mpmath) and of DEGENERATE_HORIZON_VOLUMES."""
+    ref = json.loads((Path(__file__).parents[1] / "perfbench" / "bulk_reference.json").read_text())
+    for case in ref["cases"]:
+        for qt, want in zip(np.geomspace(case["Qt_from"], case["Qt_to"], case["points"]), case["v_ref"]):
+            yield BulkParams(Qt=float(qt), z=4.0, **case["params"]), case["r_inf"], want
+    for args, factor, want in DEGENERATE_HORIZON_VOLUMES:
+        p = _bulk(*args)
+        yield p, factor * p.rp, want
+
+
+def test_volume_exact_estimate_bounds_its_error():
+    # every estimate is at least the true error, near a degenerate horizon
+    # too, and every value is within 1e-15 (the worst reads 6.0e-16)
+    volumes = list(_reference_volumes())
+    assert len(volumes) == 386
+    for p, r_inf, want in volumes:
+        v = volume_exact(p, r_inf)
+        assert abs(v.value - want) <= v.error_estimate
+        assert v.value == pytest.approx(want, rel=1e-15, abs=0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), log_x=st.floats(math.log(1e-6), math.log(399.0)))
 def test_volume_exact_matches_w_form_from_horizon_to_far_cutoff(seed, log_x):
@@ -186,8 +220,8 @@ def test_fitted_divergence_coefficient_matches_closed_form(make_bulk):
 
 def test_divergence_fit_is_one_quadrature_of_the_scalar_volumes(make_bulk, monkeypatch):
     calls = []
-    simpson = kernels.refined_simpson
-    monkeypatch.setattr(kernels, "refined_simpson", lambda *a: calls.append(1) or simpson(*a))
+    quadrature = kernels.nested_quadrature
+    monkeypatch.setattr(kernels, "nested_quadrature", lambda *a: calls.append(1) or quadrature(*a))
     for p in (make_bulk(-5.0, 1.0, 0.0), make_bulk(-3.0, 1.4, 2.0), make_bulk(-8.0, 0.6, -2.0)):
         calls.clear()
         fitted = fit_divergence_coefficient(p)
@@ -340,10 +374,10 @@ def test_background_volume_matches_mpmath(make_bulk):
 
 
 def test_background_volume_is_closed_form(make_bulk, monkeypatch):
-    def no_quadrature(make, spec):
+    def no_quadrature(*args):
         raise AssertionError("quadrature called")
 
-    monkeypatch.setattr(kernels, "refined_simpson", no_quadrature)
+    monkeypatch.setattr(kernels, "nested_quadrature", no_quadrature)
     for V0 in (2.0, 0.0, -2.0):
         assert background_volume(make_bulk(lambda_eff=-5.0, V0=V0), 40.0).value > 0.0
     with pytest.raises(TypeError):
@@ -458,7 +492,7 @@ def test_subtraction_matches_mpmath(make_bulk, lambda_eff, rp, V0, z, L):
     p = make_bulk(lambda_eff, rp, V0, z=z, L=L)
     sweep = subtracted_susceptibility(p)
     for got, want in zip(sweep.values + (sweep.limit,), _mpmath_subtracted(p)):
-        assert got == pytest.approx(want, rel=2e-11, abs=0.0)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_subtraction_limit_beta_function_at_zero_potential():
@@ -480,21 +514,17 @@ def test_subtraction_limit_beta_function_at_zero_potential():
 def test_subtraction_matches_difference_of_volumes(lam, rp, V0, L):
     # the reference is the difference of the two divergent volumes at each
     # cutoff: a radial quadrature on 16x the default panels minus the
-    # background's closed form, exact to rounding. The bound is 4x the
-    # background's estimate plus the estimate of the same quadrature on 4x the
-    # default panels (about 256x below the default one's), which covers the
-    # finer value's error but not always its own: near a degenerate horizon
-    # (second example, B'(rp) = 0.15 c rp) the 4x and default quadratures both
-    # read 1.9e-15 relative at r_inf = 400 rp and are 1.2e-13 off mpmath, and
-    # at the first example the default one understates its error 7x
+    # background's closed form, exact to rounding. The bound is 4x the sum of
+    # their estimates, each of which bounds its own error, also near a
+    # degenerate horizon (the first two examples; see
+    # test_volume_exact_estimate_bounds_its_error)
     p = _bulk(lambda_eff=-lam, rp=rp, V0=V0, L=L)
     assume(blackening_derivative(p.rp, p) > 0.1 * (-curvature_coefficient(p)) * p.rp)
     sweep = subtracted_susceptibility(p)
     for r_inf, value in zip(sweep.cutoffs, sweep.values):
         v = volume_exact(p, r_inf, QuadratureSpec(panels=1024))
-        v_err = volume_exact(p, r_inf, QuadratureSpec(panels=256)).error_estimate
         bg = background_volume(p, r_inf)
-        bound = 4 * complexity(v_err + bg.error_estimate, p)
+        bound = 4 * complexity(v.error_estimate + bg.error_estimate, p)
         assert abs(value - complexity(v.value - bg.value, p)) <= bound
 
 
