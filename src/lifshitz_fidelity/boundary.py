@@ -12,7 +12,8 @@ keeps tiny overlaps to relative precision; the fit integrates the deficit
 (1/2) int (psi_H - psi_{H+dH})^2 dx instead, which keeps 1 - f ~ 1e-7 to
 relative precision. Each point has one symmetric t grid, a C-ordered row
 shared by all of its dH samples, so a block of fits is one (points x samples
-x grid) trapezoid quadrature. Evaluation is at time zero with identical k and
+x grid) trapezoid quadrature, and a block of overlaps, one dH per point,
+one (points x 1 x grid) quadrature. Evaluation is at time zero with identical k and
 beta in both states, so the plane-wave factors cancel and the transverse box
 modes contribute unit overlap.
 """
@@ -165,16 +166,18 @@ def _gammas(points):
 
 def _halfwidths(gamma, s, halfwidth: float):
     """The half-width T of each point's t grid [-T, T], a (points x 1) column
-    like gamma, for the 1-D samples s = dH / H: the grid covers psi_H (centre
-    0, sigma 1) and every psi_{H+dH} (centre -gamma s/(1 + s), sigma
+    like gamma, for s = dH / H, either 1-D samples shared by every point or a
+    (points x 1) column of one sample per point: the grid covers psi_H
+    (centre 0, sigma 1) and every psi_{H+dH} (centre -gamma s/(1 + s), sigma
     1/sqrt(1 + s)) out to halfwidth sigma. T depends on the point alone.
-    Raises DomainError where 2 (1 + |s|) T (T + 2 |gamma|) overflows: it
-    bounds 2 |r| + t^2 and every intermediate of kernels.overlap_log_ratio.
+    Raises DomainError where 2 (1 + |s|) T (T + 2 |gamma|), at the point's
+    largest |s|, overflows: it bounds 2 |r| + t^2 and every intermediate of
+    kernels.overlap_log_ratio.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # caught below
         reach = (abs(gamma * s) + halfwidth * np.sqrt(1.0 + s)) / (1.0 + s)
         T = np.maximum(halfwidth, reach.max(axis=1, keepdims=True))
-        exponent = 2.0 * (1.0 + abs(s).max()) * T * (T + 2.0 * abs(gamma))
+        exponent = 2.0 * (1.0 + abs(s).max(axis=-1, keepdims=True)) * T * (T + 2.0 * abs(gamma))
     if not np.isfinite(exponent).all():
         i = (~np.isfinite(exponent)).argmax()
         raise DomainError(f"overlap exponent overflows at gamma={gamma.flat[i]:.3g}, "
@@ -190,19 +193,20 @@ def _trapezoid_terms(y, w, tolerance):
     return y
 
 
-def overlap_quadrature(p: BosonGasParams, dH: float, grid: QuadratureSpec = OVERLAP_GRID) -> float:
-    """Numerical overlap of the ground states at fields H and H + dH.
+def overlap_quadrature_block(points, dHs, grid: QuadratureSpec = OVERLAP_GRID):
+    """Overlaps of several points, each at its own dH, as overlap_quadrature, from one quadrature.
 
-    Integrates the product wavefunction, exp(r - t^2) / sqrt(pi) at
-    s = dH / H, by the trapezoid rule on a grid covering both Gaussians out
-    to grid.halfwidth sigma, so tiny overlaps keep their relative precision.
-    Raises DomainError if s <= -1 or the exponent overflows on the grid, and
-    GridCoverageError if the integrand has not decayed at the edges.
+    s = dH / H is a (points x 1) column: one (points x 1 x grid) trapezoid
+    quadrature, returned as a 1-D array. While no point needs a finer grid,
+    each overlap has the bits of its point alone; once one does, every point
+    takes it, and has the bits of its point alone at panels doubled once per
+    refinement. Raises any error one of its points raises alone, though not
+    necessarily the first point's.
     """
-    s = np.array([dH / p.H])
-    if not s[0] > -1.0:
-        raise DomainError(f"dH must exceed -H, got dH={dH}")
-    gamma = _gammas([p])
+    s = np.array([[dH / p.H] for p, dH in zip(points, dHs)])
+    if not (s > -1.0).all():
+        raise DomainError(f"dH must exceed -H, got dH={dHs[(s[:, 0] > -1.0).argmin()]}")
+    gamma = _gammas(points)
     T = _halfwidths(gamma, s, grid.halfwidth)
 
     def make(npts):
@@ -213,7 +217,20 @@ def overlap_quadrature(p: BosonGasParams, dH: float, grid: QuadratureSpec = OVER
         return _trapezoid_terms(np.exp(y, out=y), w, grid.tolerance)
 
     value, _ = kernels.nested_quadrature(make, kernels.trapezoid, grid)
-    return float(T[0, 0] * value[0, 0]) / math.sqrt(math.pi)
+    return T[:, 0] * value[:, 0] / math.sqrt(math.pi)
+
+
+def overlap_quadrature(p: BosonGasParams, dH: float, grid: QuadratureSpec = OVERLAP_GRID) -> float:
+    """Numerical overlap of the ground states at fields H and H + dH.
+
+    Integrates the product wavefunction, exp(r - t^2) / sqrt(pi) at
+    s = dH / H, by the trapezoid rule on a grid covering both Gaussians out
+    to grid.halfwidth sigma, so tiny overlaps keep their relative precision.
+    Raises DomainError if s <= -1 or the exponent overflows on the grid, and
+    GridCoverageError if the integrand has not decayed at the edges. This is
+    the block of one of overlap_quadrature_block.
+    """
+    return float(overlap_quadrature_block([p], [dH], grid)[0])
 
 
 def fidelity(p: BosonGasParams, dH: float, grid: QuadratureSpec = OVERLAP_GRID) -> float:

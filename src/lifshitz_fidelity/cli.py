@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import boundary, duality, geometry, verification, volume
-from .errors import LifshitzFidelityError
+from .errors import NUMERICAL_ERRORS
 from .params import BosonGasParams, BulkParams, QuadratureSpec
 
 BOUNDARY_KEYS = ("N", "q", "m", "H", "beta", "k")
@@ -71,10 +71,6 @@ SWEEPABLE = set(BOUNDARY_KEYS + BULK_KEYS) - {"N"}
 
 class _UsageError(Exception):
     pass
-
-
-#: Failures of a computation (as opposed to a bad configuration): exit 2.
-NUMERICAL_ERRORS = (LifshitzFidelityError, ArithmeticError, np.linalg.LinAlgError)
 
 
 class _NumericalFailure(Exception):

@@ -3,6 +3,7 @@
 Everything numerical raises a subclass of LifshitzFidelityError so callers
 (the CLI in particular) can separate bad inputs from failed computations.
 """
+import numpy as np
 
 
 class LifshitzFidelityError(Exception):
@@ -39,3 +40,7 @@ class ImaginaryIntegrandError(NonPositiveBlackeningError):
 
 class FitError(LifshitzFidelityError, ArithmeticError):
     """Least-squares fit is ill conditioned or violates a fit invariant."""
+
+
+#: Failures of a computation, not of a configuration: exit 2, or a failed verify check.
+NUMERICAL_ERRORS = (LifshitzFidelityError, ArithmeticError, np.linalg.LinAlgError)

@@ -50,11 +50,11 @@ def falloff_coefficient(p: BulkParams) -> float:
 def blackening(r, p: BulkParams):
     """Blackening factor B(r); accepts a scalar or an array of radii > 0."""
     arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0):
+    r = arr.reshape(1) if arr.ndim == 0 else arr  # one ufunc path: a scalar has an array's bits
+    if (r <= 0).any():
         raise DomainError("blackening requires r > 0")
     cv = potential_coefficient(p)
     cm = curvature_coefficient(p)
-    r = np.atleast_1d(arr)
     out = cv + (p.rp / r) ** (1.0 + p.z / 2.0) * falloff_coefficient(p) - cm * r * r
     return float(out[0]) if arr.ndim == 0 else out
 

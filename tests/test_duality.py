@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lifshitz_fidelity import (
     BulkParams,
     DomainError,
+    LifshitzFidelityError,
     consistency_flags,
     match_parameters,
     verify_duality,
@@ -58,6 +61,27 @@ def test_dictionary_identity_randomized():
         report = verify_duality(p)
         assert report.residual <= 1e-10
         assert report.flags == (FLAG_NEGATIVE_N, FLAG_NEGATIVE_B2Q, FLAG_XI_SIGN)
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@pytest.mark.xfail(strict=True, reason="far out in the float range the closed forms over- or "
+                   "underflow: OverflowError, ZeroDivisionError, or a residual of 1 or NaN")
+@settings(max_examples=200, deadline=None)
+@given(L=_POSITIVE, minus_xi=_POSITIVE, Qt=_POSITIVE, rp=_POSITIVE, G=_POSITIVE)
+@example(L=1.0, minus_xi=1.0, Qt=1.0, rp=1e200, G=1.0)  # rp**2 raises OverflowError
+@example(L=1.0, minus_xi=1.0, Qt=1e-300, rp=1.0, G=1.0)  # Qt**3 underflows: ZeroDivisionError
+@example(L=1 / 3, minus_xi=5.767821251131042e-139, Qt=4.0, rp=5.767821251131042e-139,
+         G=4.0)  # residual 1.0
+def test_dictionary_identity_over_the_documented_domain(L, minus_xi, Qt, rp, G):
+    # every BulkParams with xi < 0 (z = 4) either meets the dictionary's
+    # 1e-10 or raises a named error
+    try:
+        report = verify_duality(BulkParams(L=L, xi=-minus_xi, Qt=Qt, rp=rp, G=G))
+    except LifshitzFidelityError:
+        return
+    assert report.residual <= 1e-10
 
 
 def test_perturbed_match_gives_nonzero_residual():

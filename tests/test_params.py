@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -60,3 +61,12 @@ def test_bulk_complexity_radius_defaults_to_curvature_scale():
 def test_quadrature_spec_validation(kw):
     with pytest.raises(DomainError):
         QuadratureSpec(**kw)
+
+
+@pytest.mark.parametrize("cls", [BosonGasParams, BulkParams, QuadratureSpec])
+def test_the_first_non_finite_field_is_named(cls):
+    # every float-typed field from the k-th on is NaN: the error names the k-th
+    names = [f.name for f in dataclasses.fields(cls) if "float" in str(f.type)]
+    for k, name in enumerate(names):
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got nan$"):
+            cls(**{later: math.nan for later in names[k:]})

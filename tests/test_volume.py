@@ -145,7 +145,7 @@ def test_volume_exact_estimate_bounds_its_error():
 def test_volume_exact_matches_w_form_from_horizon_to_far_cutoff(seed, log_x):
     # r_inf / rp - 1 = exp(log_x) is log-uniform in [1e-6, 399]: every draw
     # with a genuine horizon returns, near it as well as far out
-    p = _random_bulk(np.random.default_rng(seed), horizon=True)
+    p = _random_bulk(np.random.default_rng(seed))
     r_inf = p.rp * (1.0 + math.exp(log_x))
     v_r = volume_exact(p, r_inf).value
     v_w = volume_w_form(p, p.rp / r_inf, "full-B").value
@@ -160,6 +160,57 @@ def test_w_form_analytic_value_at_b1_zero(make_bulk):
     assert c.b1 == pytest.approx(0.0, abs=1e-15)
     res = volume_w_form(p, 0.1, "truncated")
     assert res.value == pytest.approx(49.5, rel=1e-10)
+
+
+def _mpmath_w_volume(b_one, bcoef, bm2, zexp, rp, eps):
+    """rp^3 int_eps^1 dw/(w^4 sqrt(b)) at 30 digits, for b = b_one + bcoef
+    expm1(-zexp u) - bm2 expm1(2 u) and u = -log w, as volume._integrate_w
+    writes it. The u-integrand e^(3u)/sqrt(b) is e^(2u)/sqrt(-bm2), integrated
+    in closed form, plus the rest -d e^(2u)/(sqrt(c) sqrt(b) (sqrt(c) e^u +
+    sqrt(b))) with c = -bm2 and d = b - c e^(2u), which cancels nowhere."""
+    with mpmath.workdps(30):
+        b_one, bcoef, bm2, zexp, rp = (mpmath.mpf(v) for v in (b_one, bcoef, bm2, zexp, rp))
+        root_c, lam = mpmath.sqrt(-bm2), -mpmath.log(mpmath.mpf(eps))
+
+        def rest(u):
+            b = b_one + bcoef * mpmath.expm1(-zexp * u) - bm2 * mpmath.expm1(2 * u)
+            d = b_one - bcoef + bm2 + bcoef * mpmath.exp(-zexp * u)
+            root_b = mpmath.sqrt(b)
+            return -d * mpmath.exp(2 * u) / (root_c * root_b * (root_c * mpmath.exp(u) + root_b))
+
+        cuts = [0] + [x for x in (0.01, 0.1, 1, 10, 100) if x < lam] + [lam]
+        return rp**3 * (mpmath.expm1(2 * lam) / (2 * root_c) + mpmath.quad(rest, cuts))
+
+
+@pytest.mark.parametrize("mode", [
+    "full-B",
+    pytest.param("truncated", marks=pytest.mark.xfail(
+        strict=True, reason="a b(1) = -V0/6 within ENDPOINT_ZERO_TOL of 0 is set to 0, "
+        "which moves the volume by about sqrt(|b(1)|) relative")),
+])
+@settings(max_examples=40, deadline=None)
+@given(lambda_eff=st.floats(-10.0, -0.5), rp=st.floats(0.3, 3.0), V0=st.floats(-3.0, 3.0),
+       L=st.floats(0.5, 2.0), eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(-5.0, 1.0, 0.0, 1.0, 1e-100)  # truncated: b(1) = -V0/6 = 0, a zero at w = 1
+@example(-2.0, 1.7, -3.0, 1.0, 1.0 - 2.0**-52)
+@example(-5.0, 1.0, 0.0, 1.0, 5e-324)
+@example(-5.0, 1.0, -1e-12, 1.0, 0.9)  # truncated: 5e-7 off, with an estimate of 2e-15
+def test_w_form_over_the_whole_cutoff_range(mode, lambda_eff, rp, V0, L, eps):
+    # on random_bulk's domain and all of eps in (0, 1), both modes either meet
+    # the spec's tolerance against mpmath or raise a named error (no horizon at
+    # rp, V0 > 0 in truncated mode, or an eps whose grid factor overflows)
+    p = _bulk(lambda_eff=lambda_eff, rp=rp, V0=V0, L=L)
+    try:
+        v = volume_w_form(p, eps, mode)
+    except LifshitzFidelityError:
+        return
+    cv, cm, hcoef, zexp = volume._param_coeffs(p)
+    if mode == "full-B":  # b(1) is a zero, which _integrate_w sets to 0
+        want = _mpmath_w_volume(0, hcoef, cm * p.rp**2, zexp, p.rp, eps)
+    else:
+        c = series_coeffs_z4(p)
+        want = _mpmath_w_volume(mpmath.mpf(c.b1) - c.b_minus2, c.b1, c.b_minus2, zexp, p.rp, eps)
+    assert abs(v.value - want) <= volume.DEFAULT_SPEC.tolerance * abs(want)
 
 
 def test_w_form_validation(make_bulk):
