@@ -43,13 +43,19 @@ class DualityReport:
 
 
 def match_parameters(p: BulkParams) -> tuple[float, float]:
-    """Extract (N, beta^2/q) from bulk data; requires xi < 0."""
+    """Extract (N, beta^2/q) from bulk data; requires xi < 0. Raises
+    DomainError if either is not a finite float."""
     if p.xi >= 0:
         raise DomainError(f"parameter matching requires xi < 0, got xi={p.xi}")
-    n_matched = -16.0 * math.sqrt(5.0) * p.L**2 * p.rp**2 / (
-        48.0 * math.pi * p.G * p.L**3 * math.sqrt(-p.xi)
-    )
-    beta2_over_q = 3.0 / (8.0 * p.L**2 * p.xi)
+    try:
+        n_matched = -16.0 * math.sqrt(5.0) * p.L**2 * p.rp**2 / (
+            48.0 * math.pi * p.G * p.L**3 * math.sqrt(-p.xi))
+        beta2_over_q = 3.0 / (8.0 * p.L**2 * p.xi)
+    except ArithmeticError:  # a power overflows, or a denominator underflows to 0
+        n_matched = beta2_over_q = math.nan
+    if not (math.isfinite(n_matched) and math.isfinite(beta2_over_q)):
+        raise DomainError(f"L={p.L}, xi={p.xi}, rp={p.rp}, G={p.G} are out of range: "
+                          "the matched N and beta^2/q are not finite floats")
     return n_matched, beta2_over_q
 
 

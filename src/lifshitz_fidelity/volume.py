@@ -40,7 +40,7 @@ from .params import BulkParams, QuadratureSpec
 
 DEFAULT_SPEC = QuadratureSpec()
 
-#: Relative threshold deciding whether an endpoint value of B is a zero.
+#: Relative threshold deciding whether B_bg(rp) = -hcoef is a zero (coincident geometries).
 ENDPOINT_ZERO_TOL = 1e-11
 
 #: Cutoffs of the divergence-coefficient fit, and the eps^-2 row of its
@@ -132,18 +132,17 @@ def _integrate_r(cv, cm, hcoef, rp, zexp, hi, spec):
     return kernels.nested_quadrature(make, kernels.clenshaw_curtis, spec)
 
 
-def _integrate_w(cvterm, bcoef, bm2, zexp, eps, spec):
+def _integrate_w(b_one, bcoef, bm2, zexp, eps, spec):
     """Quadrature of 1/(w^4 sqrt(b(w))) on [eps, 1], one row per entry of the 1-D eps.
 
-    b(w) = cvterm + bcoef*w^zexp - bm2/w^2, by Clenshaw-Curtis in s: w = eps^(s^2)
+    b(w) = b_one + bcoef (w^zexp - 1) - bm2 (w^-2 - 1), by Clenshaw-Curtis in s: w = eps^(s^2)
     is uniform in u = -log w = lam s^2 toward eps, where the integrand 2 lam s e^(3u)/sqrt(b)
     grows like w^-3, and the Jacobian absorbs a 1/sqrt zero of b at w = 1 (the
-    horizon image). An endpoint zero b(1) is set to 0, so b = b(1) + bcoef
-    expm1(-zexp u) - bm2 expm1(2u) has no cancellation near w = 1.
+    horizon image). The caller passes b(1) as b_one, exactly 0.0 where it is a zero
+    by construction, so b = b_one + bcoef expm1(-zexp u) - bm2 expm1(2u) has no
+    cancellation near w = 1, and b_one = 0 takes the endpoint limit.
     """
-    b_one = cvterm + bcoef - bm2
-    scale = max(abs(cvterm), abs(bcoef), abs(bm2), 1e-300)
-    if b_one < -ENDPOINT_ZERO_TOL * scale:
+    if b_one < 0:
         raise NonPositiveBlackeningError(f"integrand imaginary at w = 1: b(1) = {b_one}")
 
     lam = -np.log(eps)[:, None]
@@ -151,8 +150,8 @@ def _integrate_w(cvterm, bcoef, bm2, zexp, eps, spec):
         if not np.all(np.isfinite(2.0 * lam * np.exp(3.0 * lam))):  # the integrand's factor at s = 1
             raise DomainError(f"eps={eps.min()} is out of range: 2 log(1/eps) eps^-3 overflows")
     y0 = 0.0
-    if abs(b_one) <= ENDPOINT_ZERO_TOL * scale:
-        b_one, bp_one = 0.0, zexp * bcoef + 2.0 * bm2
+    if b_one == 0:
+        bp_one = zexp * bcoef + 2.0 * bm2
         if -bp_one <= 0.0:
             raise NonPositiveBlackeningError("degenerate zero of the integrand at w = 1")
         y0 = 2.0 * np.sqrt(lam[:, 0] / -bp_one)
@@ -251,22 +250,21 @@ def volume_w_form(
     """
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    cv, cm, hcoef, zexp = _param_coeffs(p)
-    bm2_gen = cm * p.rp**2
-    if mode == "full-B":
-        cvterm, bcoef = cv, hcoef
+    _, cm, hcoef, zexp = _param_coeffs(p)
+    if mode == "full-B":  # b(1) = B(rp) = cv + hcoef - cm rp^2, a zero as hcoef = cm rp^2 - cv
+        b_one, bcoef, bm2 = 0.0, hcoef, cm * p.rp**2
     elif mode == "truncated":
         coeffs = geometry.series_coeffs_z4(p)
         if not coeffs.is_physical:
             raise ImaginaryIntegrandError(
                 f"b_minus2={coeffs.b_minus2} >= 0: integrand imaginary near w = 0"
             )
-        cvterm, bcoef = 0.0, coeffs.b1
+        b_one, bcoef, bm2 = coeffs.b1 - coeffs.b_minus2, coeffs.b1, coeffs.b_minus2  # b(1) = -V0/6
     else:
         raise DomainError(f"unknown w-form mode {mode!r}")
 
     try:
-        (raw,), (err,) = _integrate_w(cvterm, bcoef, bm2_gen, zexp, np.array([eps]), spec)
+        (raw,), (err,) = _integrate_w(b_one, bcoef, bm2, zexp, np.array([eps]), spec)
     except NonPositiveBlackeningError as exc:
         if mode == "truncated" and not isinstance(exc, ImaginaryIntegrandError):
             raise ImaginaryIntegrandError(str(exc)) from exc
@@ -326,7 +324,7 @@ def xi_f_holo_z4(p: BulkParams) -> float:
     """Closed-form holographic susceptibility at z = 4.
 
     sqrt(5) rp^2 sqrt(-xi) (2 L^2 xi Qt + 3) / (48 pi G L^3 xi^2 Qt^3);
-    requires xi < 0.
+    requires xi < 0. Raises DomainError if it is not a finite float.
     """
     if abs(p.z - 4.0) > geometry.Z4_TOL:
         raise ConstraintError(f"holographic susceptibility requires z = 4, got {p.z}")
@@ -334,13 +332,15 @@ def xi_f_holo_z4(p: BulkParams) -> float:
         raise DomainError(f"requires xi < 0, got xi={p.xi}")
     if p.Qt == 0:
         raise DomainError("requires Qt != 0")
-    return (
-        math.sqrt(5.0)
-        * p.rp**2
-        * math.sqrt(-p.xi)
-        * (2.0 * p.L**2 * p.xi * p.Qt + 3.0)
-        / (48.0 * math.pi * p.G * p.L**3 * p.xi**2 * p.Qt**3)
-    )
+    try:
+        value = (math.sqrt(5.0) * p.rp**2 * math.sqrt(-p.xi) * (2.0 * p.L**2 * p.xi * p.Qt + 3.0)
+                 / (48.0 * math.pi * p.G * p.L**3 * p.xi**2 * p.Qt**3))
+    except ArithmeticError:  # a power overflows, or the denominator underflows to 0
+        value = math.nan
+    if not math.isfinite(value):
+        raise DomainError(f"L={p.L}, xi={p.xi}, Qt={p.Qt}, rp={p.rp}, G={p.G} are out of range: "
+                          "the z = 4 holographic susceptibility is not a finite float")
+    return value
 
 
 def _subtracted_volumes(p: BulkParams, eps, spec: QuadratureSpec) -> np.ndarray:
@@ -424,6 +424,6 @@ def fit_divergence_coefficient(p: BulkParams, spec: QuadratureSpec = DEFAULT_SPE
     DIVERGENCE_FIT_EPS: the fixed row DIVERGENCE_ROW dotted with the seven
     volumes (rows of one quadrature). It should match rp^3/(2 sqrt(-b_minus2)).
     """
-    cv, cm, hcoef, zexp = _param_coeffs(p)
-    raw, _ = _integrate_w(cv, hcoef, cm * p.rp**2, zexp, np.array(DIVERGENCE_FIT_EPS), spec)
+    _, cm, hcoef, zexp = _param_coeffs(p)
+    raw, _ = _integrate_w(0.0, hcoef, cm * p.rp**2, zexp, np.array(DIVERGENCE_FIT_EPS), spec)
     return float(DIVERGENCE_ROW @ (p.rp**3 * raw))

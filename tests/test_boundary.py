@@ -325,8 +325,9 @@ def test_fit_is_exact_in_particle_number(kw):
 
 
 def test_fit_independent_of_longitudinal_momentum():
+    # k never enters the fit, so every k gives the same bits
     vals = [xi_f_from_fit(BosonGasParams(beta=0.7, k=k)).c_sq for k in (0.0, 1.0, 10.0)]
-    assert max(vals) - min(vals) <= 1e-10 * vals[0]
+    assert [v.hex() for v in vals] == [vals[0].hex()] * 3
 
 
 @pytest.mark.parametrize("H", [0.5, 1.0, 3.0])

@@ -406,11 +406,24 @@ def test_sweep_failure_names_the_parameter_point(tmp_path, capsys):
     assert err.startswith("numerical failure in xi_f_from_fit at H=")
 
 
+@pytest.mark.parametrize("key,value", [("rp", "1e200"), ("Qt", "1e-300")])
+def test_match_out_of_float_range_exits_2_naming_the_input(key, value, tmp_path, capsys):
+    assert run(["match", f"--{key}", value, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in verify_duality: ")
+    assert f"{key}={float(value)}" in err and "out of range" in err
+
+
 def test_verify_passes_on_correct_build(tmp_path):
     assert run(["verify", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "verify.json").read_text())
     assert doc["results"]["failures"] == 0
-    assert len(doc["invariants"]) >= 17
+    assert tuple(entry["name"] for entry in doc["invariants"]) == (
+        "overlap-oracle-equivalence", "fit-closed-form", "beta-energy-cancellation",
+        "horizon-root", "volume-change-of-variables", "series-convergence-order",
+        "divergence-universality", "regularization-cauchy", "volume-positivity",
+        "flag-determinism",
+    )
     assert all(entry["passed"] for entry in doc["invariants"])
 
 

@@ -182,19 +182,14 @@ def _mpmath_w_volume(b_one, bcoef, bm2, zexp, rp, eps):
         return rp**3 * (mpmath.expm1(2 * lam) / (2 * root_c) + mpmath.quad(rest, cuts))
 
 
-@pytest.mark.parametrize("mode", [
-    "full-B",
-    pytest.param("truncated", marks=pytest.mark.xfail(
-        strict=True, reason="a b(1) = -V0/6 within ENDPOINT_ZERO_TOL of 0 is set to 0, "
-        "which moves the volume by about sqrt(|b(1)|) relative")),
-])
+@pytest.mark.parametrize("mode", ["full-B", "truncated"])
 @settings(max_examples=40, deadline=None)
 @given(lambda_eff=st.floats(-10.0, -0.5), rp=st.floats(0.3, 3.0), V0=st.floats(-3.0, 3.0),
        L=st.floats(0.5, 2.0), eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 @example(-5.0, 1.0, 0.0, 1.0, 1e-100)  # truncated: b(1) = -V0/6 = 0, a zero at w = 1
 @example(-2.0, 1.7, -3.0, 1.0, 1.0 - 2.0**-52)
 @example(-5.0, 1.0, 0.0, 1.0, 5e-324)
-@example(-5.0, 1.0, -1e-12, 1.0, 0.9)  # truncated: 5e-7 off, with an estimate of 2e-15
+@example(-5.0, 1.0, -1e-12, 1.0, 0.9)  # truncated: b(1) = 1.7e-13, a value, not a zero
 def test_w_form_over_the_whole_cutoff_range(mode, lambda_eff, rp, V0, L, eps):
     # on random_bulk's domain and all of eps in (0, 1), both modes either meet
     # the spec's tolerance against mpmath or raise a named error (no horizon at
@@ -205,7 +200,7 @@ def test_w_form_over_the_whole_cutoff_range(mode, lambda_eff, rp, V0, L, eps):
     except LifshitzFidelityError:
         return
     cv, cm, hcoef, zexp = volume._param_coeffs(p)
-    if mode == "full-B":  # b(1) is a zero, which _integrate_w sets to 0
+    if mode == "full-B":  # b(1) is a zero, which volume_w_form passes as 0
         want = _mpmath_w_volume(0, hcoef, cm * p.rp**2, zexp, p.rp, eps)
     else:
         c = series_coeffs_z4(p)
